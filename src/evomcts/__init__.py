@@ -1,78 +1,3 @@
 """Tree search on interval-splitting landscapes with evolvable policies."""
 
-from .expr import (
-    CONST_POOL,
-    MAX_DEPTH,
-    EvalContext,
-    Expr,
-    ExprParseError,
-    compile_expr,
-    depth,
-    evaluate,
-    parse_text,
-    random_subtree,
-    subtree_mutate,
-    to_text,
-    ucb1_seed,
-)
-from .fop import (
-    ROOT,
-    FopConfig,
-    FopState,
-    FunctionId,
-    center,
-    children,
-    f_eval,
-    global_optimum,
-    is_terminal,
-    sample_reward,
-)
-from .mcts import (
-    SearchTree,
-    TreeNode,
-    backpropagate,
-    dump_tree,
-    expand,
-    iter_nodes,
-    recommend_best_reward,
-    recommend_most_visited,
-    rollout,
-    run_iterations,
-    select,
-)
-from .evo import (
-    EvaluatedPolicy,
-    EvoConfig,
-    evolve_policy,
-    fitness_budget,
-    fitness_eval,
-    plain_select,
-    semantic_select,
-    ssd,
-    ssi,
-)
-from .metrics import (
-    RunRecord,
-    StageTracker,
-    SummaryRow,
-    expansion_rate,
-    histogram,
-    stage_marks,
-    summarize,
-    terminal_states_reached,
-)
-from .harness import (
-    AgentSpec,
-    ConfigError,
-    ExperimentConfig,
-    RunFailure,
-    cli_parse,
-    default_config,
-    derive_seed,
-    main,
-    parse_agent,
-    run_batch,
-    run_one,
-)
-
 __version__ = "0.1.0"

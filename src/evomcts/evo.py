@@ -12,27 +12,24 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .expr import Expr, subtree_mutate, ucb1_seed
 from .fop import FunctionId
-from .mcts import SearchTree, run_iterations
+from .mcts import SearchTree, argmax, run_iterations
 
 log = logging.getLogger(__name__)
-
-# windows already reported as unreachable, so each process warns only once
-_warned_windows = set()
 
 
 @dataclass(frozen=True, slots=True)
 class EvoConfig:
     """Knobs for the online evolution phase.
 
-    mu is fixed at 1; the fitness budget is fitness_iters * (1 + generations
-    * offspring) tree iterations, the extra 1 paying for the initial parent.
+    One parent per generation; the fitness budget is fitness_iters * (1 +
+    generations * offspring) tree iterations, the extra 1 paying for the
+    initial parent.
     """
 
-    mu: int = 1
     offspring: int = 4
     generations: int = 20
     fitness_iters: int = 30
@@ -42,8 +39,6 @@ class EvoConfig:
     fallback: str = "random"  # pick when no fitness tie: "random" or "best"
 
     def __post_init__(self):
-        if self.mu != 1:
-            raise ValueError("only mu = 1 is supported")
         if self.offspring < 1 or self.generations < 0 or self.fitness_iters < 1:
             raise ValueError("offspring >= 1, generations >= 0, fitness_iters >= 1")
         if not 0.0 <= self.alpha < self.beta:
@@ -104,9 +99,7 @@ def plain_select(offspring: Sequence[EvaluatedPolicy], rng) -> EvaluatedPolicy:
     """Best offspring by fitness, exact ties broken uniformly at random."""
     if not offspring:
         raise ValueError("no offspring to select from")
-    best = max(o.fitness for o in offspring)
-    tied = [o for o in offspring if o.fitness == best]
-    return tied[0] if len(tied) == 1 else tied[rng.randrange(len(tied))]
+    return argmax(offspring, lambda o: o.fitness, rng)
 
 
 def semantic_select(
@@ -135,18 +128,30 @@ def semantic_select(
         dists = [ssd(o.semantics, parent.semantics) for o in offspring]
         inside = [(o, d) for o, d in zip(offspring, dists) if alpha < d < beta]
         if inside:
-            m = min(abs(d - alpha) for _, d in inside)
-            close = [o for o, d in inside if abs(d - alpha) == m]
-            return close[0] if len(close) == 1 else close[rng.randrange(len(close))]
+            return argmax(inside, lambda od: -abs(od[1] - alpha), rng)[0]
         if alpha >= 1.0 and all(d <= 1.0 for d in dists):
             # with 0/1 rewards every distance is at most 1, so the window
-            # cannot trigger; see the degeneracy warning in evolve_policy
+            # cannot trigger; see log_unreachable_window
             log.debug(
                 "semantic window (%g, %g) missed: distances max out at 1", alpha, beta
             )
     if fallback == "best":
         return plain_select(offspring, rng)
     return offspring[rng.randrange(len(offspring))]
+
+
+def log_unreachable_window(cfg: EvoConfig, level: int) -> None:
+    """Report at level when the (alpha, beta) window can never open."""
+    if cfg.alpha >= 1.0:
+        log.log(
+            level,
+            "semantic similarity window (%g, %g) can never trigger: rewards are "
+            "0/1 so semantic distances stay within [0, 1]; tie handling always "
+            "falls back to %s choice",
+            cfg.alpha,
+            cfg.beta,
+            cfg.fallback,
+        )
 
 
 def evolve_policy(
@@ -165,18 +170,9 @@ def evolve_policy(
     """
     if tree.root.untried_actions:
         raise ValueError("expand all root children before evolving")
-    if semantic and cfg.alpha >= 1.0:
-        level = logging.DEBUG if (cfg.alpha, cfg.beta) in _warned_windows else logging.WARNING
-        _warned_windows.add((cfg.alpha, cfg.beta))
-        log.log(
-            level,
-            "semantic similarity window (%g, %g) can never trigger: rewards are "
-            "0/1 so semantic distances stay within [0, 1]; tie handling always "
-            "falls back to %s choice",
-            cfg.alpha,
-            cfg.beta,
-            cfg.fallback,
-        )
+    if semantic:
+        # run_batch gives the batch's one WARNING; here it repeats per run
+        log_unreachable_window(cfg, logging.DEBUG)
     parent = fitness_eval(
         ucb1_seed(cfg.c_init), tree, fid, cfg.fitness_iters, rng, stage_hooks
     )

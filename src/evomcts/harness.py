@@ -9,20 +9,20 @@ output files are byte-identical across repeats, serial or parallel.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import logging
 import os
 import random
 import sys
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
-from .evo import EvoConfig, evolve_policy, fitness_budget
+from .evo import EvoConfig, evolve_policy, fitness_budget, log_unreachable_window
 from .expr import Expr, parse_text, to_text, ucb1_seed
 from .fop import FopConfig, FunctionId
-from .harness_io import write_config_echo, write_csvs  # noqa: F401  (re-export)
+from .harness_io import write_config_echo, write_csvs
 from .metrics import (
     RunRecord,
     StageTracker,
@@ -77,6 +77,9 @@ class RunFailure(RuntimeError):
         self.run_index = run_index
         self.cause = cause
 
+    def __reduce__(self):  # the default re-calls __init__ with the message alone
+        return type(self), (self.agent, self.function, self.run_index, self.cause)
+
 
 @dataclass(frozen=True)
 class AgentSpec:
@@ -116,22 +119,35 @@ def parse_agent(token: str) -> AgentSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved batch description; everything a run needs to replay."""
+    """Fully resolved batch description; everything a run needs to replay.
+
+    Building one validates it, so the CLI and API callers share one check.
+    """
 
     functions: Tuple[FunctionId, ...]
     agents: Tuple[AgentSpec, ...]
     runs: int = 30
     base_seed: int = 0
     bins: int = 100
-    alpha: float = 5.0
-    beta: float = 10.0
     out_dir: str = "results"
     jobs: int = 1
     dump_trees: bool = False
     uct_iterations: int = 5000
-    policy_expr: Optional[str] = None
     fop: FopConfig = FopConfig()
     evo: EvoConfig = EvoConfig()
+
+    def __post_init__(self):
+        if not self.functions or not self.agents:
+            raise ConfigError("need at least one agent and one function")
+        for name in ("runs", "bins", "jobs", "uct_iterations"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        warm = self.fop.branching
+        for agent in self.agents:
+            if agent.kind in ("ea", "siea") and agent.budget < warm:
+                raise ConfigError(
+                    f"agent {agent.label}: budget must cover the {warm} warm-up iterations"
+                )
 
 
 def default_config(**overrides) -> ExperimentConfig:
@@ -151,7 +167,6 @@ def derive_seed(base_seed: int, agent: str, function: str, run_index: int) -> in
 def run_one(cfg: ExperimentConfig, agent: AgentSpec, fid: FunctionId, run_index: int) -> RunRecord:
     """Execute one seeded run and measure it."""
     rng = random.Random(derive_seed(cfg.base_seed, agent.label, fid.value, run_index))
-    evo_cfg = replace(cfg.evo, alpha=cfg.alpha, beta=cfg.beta)
     evolved_text = ""
     fitness_iters = 0
 
@@ -162,19 +177,15 @@ def run_one(cfg: ExperimentConfig, agent: AgentSpec, fid: FunctionId, run_index:
         tracker = StageTracker(total, cfg.bins)
         run_iterations(tree, fid, total, rng, tracker)
     else:
-        fitness_iters = fitness_budget(evo_cfg)
+        fitness_iters = fitness_budget(cfg.evo)
         total = fitness_iters + agent.budget
         warm = cfg.fop.branching
-        if agent.budget < warm:
-            raise ConfigError(
-                f"agent {agent.label}: budget must cover the {warm} warm-up iterations"
-            )
-        tree = SearchTree(ucb1_seed(evo_cfg.c_init), cfg.fop)
+        tree = SearchTree(ucb1_seed(cfg.evo.c_init), cfg.fop)
         tracker = StageTracker(total, cfg.bins)
         # expand every root child first so selection statistics exist
         run_iterations(tree, fid, warm, rng, tracker)
         evolved = evolve_policy(
-            tree, fid, evo_cfg, rng, semantic=(agent.kind == "siea"), stage_hooks=tracker
+            tree, fid, cfg.evo, rng, semantic=(agent.kind == "siea"), stage_hooks=tracker
         )
         run_iterations(tree, fid, agent.budget - warm, rng, tracker)
         evolved_text = to_text(evolved)
@@ -216,18 +227,15 @@ def _run_task(args) -> RunRecord:
         raise RunFailure(agent.label, fid.value, run_index, f"{type(e).__name__}: {e}") from e
 
 
+def worker_count(jobs: int, tasks: int) -> int:
+    """Worker processes for a batch: no more than asked, tasks or cores."""
+    return min(jobs, tasks, os.cpu_count() or 1)
+
+
 def run_batch(cfg: ExperimentConfig) -> Tuple[List[RunRecord], list]:
     """Run the whole grid, write the output files, return records and summary."""
-    if cfg.runs < 1:
-        raise ConfigError("runs must be >= 1")
-    if not cfg.agents or not cfg.functions:
-        raise ConfigError("need at least one agent and one function")
-    for agent in cfg.agents:
-        if agent.kind in ("ea", "siea") and agent.budget < cfg.fop.branching:
-            raise ConfigError(
-                f"agent {agent.label}: budget must cover the "
-                f"{cfg.fop.branching} warm-up iterations"
-            )
+    if any(a.kind == "siea" for a in cfg.agents):
+        log_unreachable_window(cfg.evo, logging.WARNING)
     os.makedirs(cfg.out_dir, exist_ok=True)
     if cfg.dump_trees:
         os.makedirs(os.path.join(cfg.out_dir, "trees"), exist_ok=True)
@@ -239,24 +247,16 @@ def run_batch(cfg: ExperimentConfig) -> Tuple[List[RunRecord], list]:
         for r in range(cfg.runs)
     ]
     records: List[RunRecord] = []
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = [pool.submit(_run_task, t) for t in tasks]
-            try:
-                step = max(1, len(futures) // 20)
-                for i, fut in enumerate(futures):
-                    records.append(fut.result())
-                    if (i + 1) % step == 0 or i + 1 == len(futures):
-                        log.info("%d/%d runs done", i + 1, len(futures))
-            except RunFailure:
-                for fut in futures:
-                    fut.cancel()
-                raise
-    else:
-        for i, task in enumerate(tasks):
-            records.append(_run_task(task))
-            if (i + 1) % max(1, len(tasks) // 20) == 0 or i + 1 == len(tasks):
-                log.info("%d/%d runs done", i + 1, len(tasks))
+    workers = worker_count(cfg.jobs, len(tasks))
+    step = max(1, len(tasks) // 20)
+    # Executor.map submits every task up front and cancels the pending ones
+    # when a result raises
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        results = pool.map(_run_task, tasks) if pool else map(_run_task, tasks)
+        for i, record in enumerate(results, 1):
+            records.append(record)
+            if i % step == 0 or i == len(tasks):
+                log.info("%d/%d runs done", i, len(tasks))
 
     records.sort(key=lambda r: (r.agent, r.function, r.seed))
     summary = summarize(records)
@@ -306,30 +306,20 @@ def cli_parse(argv: Sequence[str]) -> ExperimentConfig:
             raise ConfigError(f"bad --policy-expr: {e}") from None
         custom = AgentSpec("expr", "expr", policy=policy)
         agents = (custom,) if ns.agents is None else agents + (custom,)
-    if not functions:
-        raise ConfigError("empty --functions")
-    if not agents:
-        raise ConfigError("empty --agents")
-    if ns.runs < 1:
-        raise ConfigError("--runs must be >= 1")
-    if ns.bins < 1:
-        raise ConfigError("--bins must be >= 1")
-    if ns.jobs < 1:
-        raise ConfigError("--jobs must be >= 1")
-    if not 0.0 <= ns.alpha < ns.beta:
-        raise ConfigError("need 0 <= alpha < beta")
+    try:
+        evo = EvoConfig(alpha=ns.alpha, beta=ns.beta)
+    except ValueError as e:
+        raise ConfigError(f"bad --alpha/--beta: {e}") from None
     return ExperimentConfig(
         functions=functions,
         agents=agents,
         runs=ns.runs,
         base_seed=ns.seed,
         bins=ns.bins,
-        alpha=ns.alpha,
-        beta=ns.beta,
         out_dir=ns.out,
         jobs=ns.jobs,
         dump_trees=ns.dump_trees,
-        policy_expr=ns.policy_expr,
+        evo=evo,
     )
 
 
@@ -348,9 +338,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     try:
         records, _ = run_batch(cfg)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except RunFailure as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -9,8 +9,9 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import asdict
-from typing import List, Sequence
+from typing import Sequence
 
+from .expr import to_text
 from .metrics import STAGE_LABELS, RunRecord, SummaryRow
 
 RUNS_COLUMNS = (
@@ -85,13 +86,11 @@ def write_config_echo(cfg) -> None:
         "runs": cfg.runs,
         "base_seed": cfg.base_seed,
         "bins": cfg.bins,
-        "alpha": cfg.alpha,
-        "beta": cfg.beta,
         "out": cfg.out_dir,
         "jobs": cfg.jobs,
         "dump_trees": cfg.dump_trees,
         "uct_iterations": cfg.uct_iterations,
-        "policy_expr": cfg.policy_expr or "",
+        "policy_expr": next((to_text(a.policy) for a in cfg.agents if a.kind == "expr"), ""),
         "branching": cfg.fop.branching,
         "threshold": cfg.fop.threshold,
         **{f"evo_{k}": v for k, v in asdict(cfg.evo).items()},

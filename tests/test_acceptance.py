@@ -3,9 +3,10 @@
 One test per numbered acceptance criterion, each printing a PASS/FAIL line
 (run with -s to see the lines for passing tests too). The expensive shared
 fixture executes the complete default sweep once (9 agents x 5 landscapes x
-30 runs); a second full sweep inside criterion 10 verifies byte-identical
-outputs. Expect this module to take on the order of 15 minutes; deselect it
-with `-k "not acceptance"` while iterating on units.
+30 runs); a second full sweep inside criterion 10, run through the process
+pool, verifies that serial and parallel outputs are byte-identical. Expect
+this module to take on the order of 15 minutes; deselect it with
+`-k "not acceptance"` while iterating on units.
 
 Criteria 2 and 3 encode external reference bands for low exploration
 constants that this implementation does not reach (it explores more than
@@ -272,7 +273,8 @@ def test_criterion_09_rollout_mean_matches_integral():
 
 def test_criterion_10_determinism_and_runtime(sweep, tmp_path_factory):
     out2 = tmp_path_factory.mktemp("sweep-again")
-    cfg2 = replace(sweep.cfg, out_dir=str(out2))
+    # the repeat goes through the pool: the serial fixture is the reference
+    cfg2 = replace(sweep.cfg, out_dir=str(out2), jobs=2)
     run_batch(cfg2)
     diffs = []
     for name in ("runs.csv", "summary.csv", "histograms.csv", "histograms_mean.csv"):
@@ -284,7 +286,7 @@ def test_criterion_10_determinism_and_runtime(sweep, tmp_path_factory):
             diffs.append(name)
     ok = not diffs and sweep.elapsed < 600.0
     report(
-        "criterion 10 (repeated sweep byte-identical; full sweep under ~10 minutes)",
+        "criterion 10 (parallel repeat byte-identical; serial sweep under ~10 minutes)",
         ok,
         f"diffs={diffs or 'none'}; first sweep took {sweep.elapsed:.0f}s",
     )

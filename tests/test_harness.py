@@ -1,12 +1,14 @@
 """Batch runner: agent grid, seeding, CSV outputs, CLI behavior."""
 
 import csv
+import logging
 import math
 import os
+import pickle
 
 import pytest
 
-from evomcts.evo import EvoConfig
+from evomcts.evo import EvoConfig, evolve_policy
 from evomcts.expr import parse_text
 from evomcts.fop import FunctionId
 from evomcts.harness import (
@@ -22,6 +24,7 @@ from evomcts.harness import (
     parse_agent,
     run_batch,
     run_one,
+    worker_count,
 )
 
 F1 = FunctionId.F1
@@ -194,6 +197,60 @@ def test_parallel_matches_serial(tmp_path):
         assert a == b, name
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(runs=0),
+        dict(bins=0),
+        dict(jobs=0),
+        dict(uct_iterations=0),
+        dict(functions=()),
+        dict(agents=()),
+        dict(agents=(parse_agent("ea:1"),)),
+    ],
+)
+def test_default_config_rejections(overrides):
+    with pytest.raises(ConfigError):
+        default_config(**overrides)
+
+
+def test_default_config_window_reaches_evolve_policy(tmp_path, monkeypatch):
+    import evomcts.harness as hmod
+
+    seen = []
+
+    def spy(tree, fid, cfg, rng, **kwargs):
+        seen.append((cfg.alpha, cfg.beta))
+        return evolve_policy(tree, fid, cfg, rng, **kwargs)
+
+    monkeypatch.setattr(hmod, "evolve_policy", spy)
+    evo = EvoConfig(generations=1, offspring=2, fitness_iters=2, alpha=0.2, beta=0.8)
+    cfg = tiny_config(tmp_path, agents=(parse_agent("siea:50"),), evo=evo)
+    run_one(cfg, cfg.agents[0], F1, 0)
+    assert seen == [(0.2, 0.8)]
+
+
+def test_worker_count_clamps(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert worker_count(1, 45) == 1
+    assert worker_count(2, 45) == 2
+    assert worker_count(8, 1) == 1
+    assert worker_count(8, 45) == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count(8, 45) == 1
+
+
+def test_degeneracy_warning_once_per_parallel_batch(tmp_path, monkeypatch, caplog):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    evo = EvoConfig(generations=1, offspring=2, fitness_iters=2)
+    cfg = tiny_config(tmp_path, agents=(parse_agent("siea:50"),), runs=2, jobs=2, evo=evo)
+    with caplog.at_level(logging.DEBUG, logger="evomcts"):
+        run_batch(cfg)
+    warned = [r for r in caplog.records
+              if "can never trigger" in r.message and r.levelno == logging.WARNING]
+    assert len(warned) == 1
+
+
 def test_run_batch_validates_before_running(tmp_path):
     with pytest.raises(ConfigError):
         run_batch(tiny_config(tmp_path, runs=0))
@@ -240,6 +297,13 @@ def test_dump_trees_writes_per_run_files(tmp_path):
 def test_run_failure_carries_run_identity():
     err = RunFailure("uct:1", "f1", 4, "ValueError: boom")
     assert "uct:1" in str(err) and "f1" in str(err) and "4" in str(err)
+
+
+def test_run_failure_pickle_round_trip():
+    err = RunFailure("uct:1", "f1", 0, "x")
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is RunFailure and str(back) == str(err)
+    assert (back.agent, back.function, back.run_index, back.cause) == ("uct:1", "f1", 0, "x")
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +367,27 @@ def test_main_config_error_exit_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_main_run_failure_exit_two(tmp_path, capsys, monkeypatch):
+def test_main_alpha_beta_reach_the_echo(tmp_path):
+    out = tmp_path / "out"
+    assert main(["--agents", "uct:1", "--functions", "f1", "--runs", "1",
+                 "--alpha", "0.2", "--beta", "0.8", "--out", str(out)]) == 0
+    lines = (out / "config.echo").read_text().splitlines()
+    assert "evo_alpha = 0.2" in lines and "evo_beta = 0.8" in lines
+    assert not [line for line in lines if line.startswith(("alpha", "beta", "evo_mu"))]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_main_run_failure_exit_two(tmp_path, capsys, monkeypatch, jobs):
     import evomcts.harness as hmod
 
     def boom(cfg, agent, fid, run_index):
         raise ValueError("boom")
 
+    # forked workers inherit the patched run_one; two runs so a pool starts
     monkeypatch.setattr(hmod, "run_one", boom)
-    code = main(["--agents", "uct:1", "--functions", "f1", "--runs", "1",
-                 "--out", str(tmp_path / "out")])
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code = main(["--agents", "uct:1", "--functions", "f1", "--runs", "2",
+                 "--jobs", jobs, "--out", str(tmp_path / "out")])
     assert code == 2
     err = capsys.readouterr().err
     assert "uct:1" in err and "boom" in err

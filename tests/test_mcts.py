@@ -9,6 +9,7 @@ from evomcts.expr import Expr, ucb1_seed
 from evomcts.fop import ROOT, FopConfig, FopState, FunctionId, center, children, f_eval
 from evomcts.mcts import (
     SearchTree,
+    argmax,
     backpropagate,
     dump_tree,
     expand,
@@ -235,6 +236,15 @@ def test_identical_seeds_reproduce_the_tree():
 
 # ---------------------------------------------------------------------------
 # recommendation policies
+
+def test_argmax_draws_only_on_ties():
+    rng = random.Random(5)
+    state = rng.getstate()
+    assert argmax([3, 1, 2], lambda v: v, rng) == 3
+    assert rng.getstate() == state
+    picks = {argmax(["a", "b", "c"], len, random.Random(i)) for i in range(50)}
+    assert picks == {"a", "b", "c"}
+
 
 def test_recommend_on_childless_root():
     tree = make_tree()
