@@ -67,7 +67,6 @@ def fitness_eval(
     fid: FunctionId,
     iters: int,
     rng,
-    stage_hooks=None,
 ) -> EvaluatedPolicy:
     """Score expr by running iters search iterations with it installed.
 
@@ -77,7 +76,7 @@ def fitness_eval(
     if iters < 1:
         raise ValueError("iters must be >= 1")
     tree.set_policy(expr)
-    rewards = tuple(run_iterations(tree, fid, iters, rng, stage_hooks))
+    rewards = tuple(run_iterations(tree, fid, iters, rng))
     return EvaluatedPolicy(expr, sum(rewards) / len(rewards), rewards)
 
 
@@ -160,7 +159,6 @@ def evolve_policy(
     cfg: EvoConfig,
     rng,
     semantic: bool = False,
-    stage_hooks=None,
 ) -> Expr:
     """Evolve a selection policy on the live tree and install the result.
 
@@ -173,19 +171,10 @@ def evolve_policy(
     if semantic:
         # run_batch gives the batch's one WARNING; here it repeats per run
         log_unreachable_window(cfg, logging.DEBUG)
-    parent = fitness_eval(
-        ucb1_seed(cfg.c_init), tree, fid, cfg.fitness_iters, rng, stage_hooks
-    )
+    parent = fitness_eval(ucb1_seed(cfg.c_init), tree, fid, cfg.fitness_iters, rng)
     for _ in range(cfg.generations):
         brood = [
-            fitness_eval(
-                subtree_mutate(parent.expr, rng),
-                tree,
-                fid,
-                cfg.fitness_iters,
-                rng,
-                stage_hooks,
-            )
+            fitness_eval(subtree_mutate(parent.expr, rng), tree, fid, cfg.fitness_iters, rng)
             for _ in range(cfg.offspring)
         ]
         if semantic:

@@ -174,26 +174,24 @@ def run_one(cfg: ExperimentConfig, agent: AgentSpec, fid: FunctionId, run_index:
         policy = agent.policy if agent.kind == "expr" else ucb1_seed(agent.c)
         total = cfg.uct_iterations
         tree = SearchTree(policy, cfg.fop)
-        tracker = StageTracker(total, cfg.bins)
-        run_iterations(tree, fid, total, rng, tracker)
+        run_iterations(tree, fid, total, rng)
     else:
         fitness_iters = fitness_budget(cfg.evo)
         total = fitness_iters + agent.budget
         warm = cfg.fop.branching
         tree = SearchTree(ucb1_seed(cfg.evo.c_init), cfg.fop)
-        tracker = StageTracker(total, cfg.bins)
         # expand every root child first so selection statistics exist
-        run_iterations(tree, fid, warm, rng, tracker)
-        evolved = evolve_policy(
-            tree, fid, cfg.evo, rng, semantic=(agent.kind == "siea"), stage_hooks=tracker
-        )
-        run_iterations(tree, fid, agent.budget - warm, rng, tracker)
+        run_iterations(tree, fid, warm, rng)
+        evolved = evolve_policy(tree, fid, cfg.evo, rng, semantic=(agent.kind == "siea"))
+        run_iterations(tree, fid, agent.budget - warm, rng)
         evolved_text = to_text(evolved)
 
     if tree.iterations_done != total:
         raise RuntimeError(
             f"budget accounting broke: {tree.iterations_done} != {total}"
         )
+    tracker = StageTracker(total, cfg.bins)
+    tracker(tree)
     mv_x, mv_value = recommend_most_visited(tree, fid, rng)
     br_x, br_value = recommend_best_reward(tree, fid, rng)
 

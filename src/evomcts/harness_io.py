@@ -50,15 +50,19 @@ def write_csvs(out_dir: str, records: Sequence[RunRecord], summary: Sequence[Sum
     _write_histograms(out_dir, records)
 
 
+def _bin_rows(values: Sequence) -> list:
+    """(bin_index, bin_left, value) per bin of an even split of [0, 1]."""
+    return [(i, i / len(values), v) for i, v in enumerate(values)]
+
+
 def _write_histograms(out_dir: str, records: Sequence[RunRecord]):
-    bins = max((len(h) for r in records for h in r.histograms), default=0)
     with open(os.path.join(out_dir, "histograms.csv"), "w", newline="") as fh:
         w = _writer(fh)
         w.writerow(("agent", "function", "seed", "stage", "bin_index", "bin_left", "count"))
         for r in records:
             for stage, counts in zip(STAGE_LABELS, r.histograms):
-                for i, count in enumerate(counts):
-                    w.writerow((r.agent, r.function, r.seed, stage, i, i / len(counts), count))
+                head = (r.agent, r.function, r.seed, stage)
+                w.writerows(head + row for row in _bin_rows(counts))
 
     # cell means of the same histograms, averaged over seeds
     cells: dict = {}
@@ -70,12 +74,8 @@ def _write_histograms(out_dir: str, records: Sequence[RunRecord]):
         for (agent, function) in sorted(cells):
             cell = cells[(agent, function)]
             for si, stage in enumerate(STAGE_LABELS):
-                vectors = [r.histograms[si] for r in cell if si < len(r.histograms)]
-                if not vectors:
-                    continue
-                for i in range(max(len(v) for v in vectors)):
-                    total = sum(v[i] for v in vectors if i < len(v))
-                    w.writerow((agent, function, stage, i, i / bins, total / len(vectors)))
+                means = [sum(col) / len(cell) for col in zip(*(r.histograms[si] for r in cell))]
+                w.writerows((agent, function, stage) + row for row in _bin_rows(means))
 
 
 def write_config_echo(cfg) -> None:

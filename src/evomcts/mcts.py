@@ -26,12 +26,16 @@ from .fop import (
 
 
 class TreeNode:
-    """One statistics node; terminal states have no actions at all."""
+    """One statistics node; terminal states have no actions at all.
 
-    __slots__ = ("state", "visits", "total_reward", "children", "untried_actions")
+    born is the iteration that expanded the node, 0 for the root.
+    """
 
-    def __init__(self, state: FopState, n_actions: int):
+    __slots__ = ("state", "born", "visits", "total_reward", "children", "untried_actions")
+
+    def __init__(self, state: FopState, n_actions: int, born: int):
         self.state = state
+        self.born = born
         self.visits = 0
         self.total_reward = 0
         self.children: List[TreeNode] = []
@@ -54,9 +58,9 @@ class SearchTree:
         self.policy = e
         self._policy_fn = compile_expr(e)
 
-    def make_node(self, state: FopState) -> TreeNode:
+    def make_node(self, state: FopState, born: int = 0) -> TreeNode:
         n = 0 if is_terminal(state, self.cfg) else self.cfg.branching
-        return TreeNode(state, n)
+        return TreeNode(state, n, born)
 
 
 def select(tree: SearchTree, rng) -> List[TreeNode]:
@@ -89,7 +93,7 @@ def expand(tree: SearchTree, node: TreeNode, rng) -> Optional[TreeNode]:
     if not acts:
         return None
     i = acts.pop(rng.randrange(len(acts)))
-    child = tree.make_node(children(node.state, tree.cfg)[i])
+    child = tree.make_node(children(node.state, tree.cfg)[i], tree.iterations_done + 1)
     node.children.append(child)
     tree.expansions_done += 1
     return child
@@ -111,18 +115,8 @@ def backpropagate(path: List[TreeNode], reward: int):
         n.total_reward += reward
 
 
-def run_iterations(
-    tree: SearchTree,
-    fid: FunctionId,
-    n: int,
-    rng,
-    stage_hooks: Optional[Callable[[SearchTree], None]] = None,
-) -> List[int]:
-    """Run n complete iterations; returns the sampled rewards in order.
-
-    stage_hooks, when given, is called with the tree after every iteration
-    (snapshot collectors decide for themselves which counts they care about).
-    """
+def run_iterations(tree: SearchTree, fid: FunctionId, n: int, rng) -> List[int]:
+    """Run n complete iterations; returns the sampled rewards in order."""
     rewards = []
     for _ in range(n):
         path = select(tree, rng)
@@ -133,8 +127,6 @@ def run_iterations(
         backpropagate(path, r)
         tree.iterations_done += 1
         rewards.append(r)
-        if stage_hooks is not None:
-            stage_hooks(tree)
     return rewards
 
 

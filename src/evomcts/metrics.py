@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fop import center, is_terminal
 from .mcts import SearchTree, iter_nodes
@@ -35,15 +35,19 @@ def terminal_states_reached(tree: SearchTree) -> int:
     return sum(1 for node, _ in iter_nodes(tree) if is_terminal(node.state, tree.cfg))
 
 
-def histogram(tree: SearchTree, bins: int = 100) -> List[int]:
+def histogram(tree: SearchTree, bins: int = 100, at: Optional[int] = None) -> List[int]:
     """Node midpoints bucketed into even bins over [0, 1].
 
     Bin i covers [i/bins, (i+1)/bins), except the last which also takes 1.0.
+    With at given, only nodes born by iteration at are counted: the tree as
+    it stood after that iteration.
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
     counts = [0] * bins
     for node, _ in iter_nodes(tree):
+        if at is not None and node.born > at:
+            continue
         i = int(center(node.state) * bins)
         if i == bins:
             i -= 1
@@ -59,10 +63,11 @@ def stage_marks(total: int, fractions: Sequence[float] = STAGE_FRACTIONS) -> Lis
 
 
 class StageTracker:
-    """Collects node-center histograms as iteration counts cross the marks.
+    """Node-center histograms at each stage mark, read from a finished tree.
 
-    Pass an instance as the stage_hooks argument of run_iterations; after
-    the run, .histograms holds one count vector per stage.
+    Nodes are never removed and each records the iteration that expanded
+    it, so one call after the run rebuilds every stage; .histograms then
+    holds one count vector per stage.
     """
 
     def __init__(self, total: int, bins: int = 100):
@@ -71,9 +76,7 @@ class StageTracker:
         self.histograms: List[List[int]] = []
 
     def __call__(self, tree: SearchTree):
-        done = tree.iterations_done
-        while len(self.histograms) < len(self.marks) and done >= self.marks[len(self.histograms)]:
-            self.histograms.append(histogram(tree, self.bins))
+        self.histograms = [histogram(tree, self.bins, m) for m in self.marks]
 
 
 @dataclass(frozen=True)

@@ -84,13 +84,6 @@ def test_fitness_eval_rejects_zero_iters():
         fitness_eval(ucb1_seed(1.0), tree, F1, 0, rng)
 
 
-def test_fitness_eval_forwards_stage_hooks():
-    tree, rng = warm_tree()
-    calls = []
-    fitness_eval(ucb1_seed(1.0), tree, F1, 5, rng, lambda t: calls.append(1))
-    assert len(calls) == 5
-
-
 def test_f1_fitness_is_high():
     # rollouts over the arch land on good values often; crude sanity bound
     tree, rng = warm_tree(seed=3)

@@ -215,11 +215,13 @@ def test_rewards_are_binary_and_counted():
     assert tree.root.total_reward == sum(rewards)
 
 
-def test_stage_hooks_called_every_iteration():
+def test_nodes_record_their_birth_iteration():
     tree = make_tree()
-    seen = []
-    run_iterations(tree, FunctionId.F1, 25, random.Random(9), lambda t: seen.append(t.iterations_done))
-    assert seen == list(range(1, 26))
+    run_iterations(tree, FunctionId.F1, 25, random.Random(9))
+    # no terminal is reached this shallow, so every iteration adds one node
+    assert sorted(node.born for node, _ in iter_nodes(tree)) == list(range(26))
+    for node, _ in iter_nodes(tree):
+        assert all(kid.born > node.born for kid in node.children)
 
 
 def test_identical_seeds_reproduce_the_tree():

@@ -94,6 +94,8 @@ def test_histogram_known_centers():
     counts = histogram(tree, bins=100)
     assert counts[25] == 1 and counts[50] == 1 and counts[75] == 1
     assert sum(counts) == 3
+    root_only = histogram(tree, bins=100, at=0)
+    assert root_only[50] == 1 and sum(root_only) == 1
 
 
 def test_histogram_sums_match_node_count():
@@ -139,34 +141,22 @@ def test_stage_labels_align_with_fractions():
 
 def test_tracker_collects_three_snapshots():
     tree = fresh_tree()
+    run_iterations(tree, F1, 30, random.Random(4))
     tracker = StageTracker(30, bins=10)
-    run_iterations(tree, F1, 30, random.Random(4), tracker)
-    assert len(tracker.histograms) == 3
-    sums = [sum(h) for h in tracker.histograms]
-    assert sums[0] <= sums[1] <= sums[2]
-    assert sums[2] == sum(1 for _ in iter_nodes(tree))
+    tracker(tree)
+    assert tracker.marks == [10, 20, 30]
+    # no terminal is reached this shallow, so each iteration adds one node
+    assert [sum(h) for h in tracker.histograms] == [11, 21, 31]
+    assert tracker.histograms[2] == histogram(tree, bins=10)
 
 
 def test_tracker_catches_up_on_colliding_marks():
     tree = fresh_tree()
+    run_iterations(tree, F1, 1, random.Random(5))
     tracker = StageTracker(1, bins=10)
-    run_iterations(tree, F1, 1, random.Random(5), tracker)
-    assert len(tracker.histograms) == 3
-
-
-def test_tracker_snapshot_sums_equal_node_counts_at_marks():
-    tree = fresh_tree()
-    total = 60
-    tracker = StageTracker(total, bins=100)
-    expected = {}
-
-    def spy(t):
-        if t.iterations_done in tracker.marks:
-            expected.setdefault(t.iterations_done, t.expansions_done + 1)
-
-    run_iterations(tree, F1, total, random.Random(6), lambda t: (spy(t), tracker(t)))
-    for mark, h in zip(tracker.marks, tracker.histograms):
-        assert sum(h) == expected[mark]
+    tracker(tree)
+    assert tracker.histograms == [histogram(tree, bins=10)] * 3
+    assert sum(tracker.histograms[0]) == 2
 
 
 # ---------------------------------------------------------------------------
