@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 MAX_FLOAT = sys.float_info.max
 PROTECT_EPS = 0.001  # operand magnitudes below this trigger the protected fallbacks
@@ -143,33 +143,321 @@ def _eval(e: Expr, q, np, nc) -> float:
 def compile_expr(e: Expr) -> Callable[[float, float, float], float]:
     """Compile e to a fast (q, n_parent, n_child) -> float callable.
 
-    Returns bit-identical values to evaluate(); meant for hot loops where
-    the tree-walking interpreter is too slow.
+    Returns bit-identical values to evaluate(); every protection is kept.
     """
-    ns = {"_fin": _fin, "_pdiv": _pdiv, "_plog": _plog, "_psqrt": _psqrt}
+    ns = dict(_NAMESPACE)
     exec(f"def _policy(q, np, nc):\n    return {_emit(e)}", ns)
     return ns["_policy"]
 
 
-def _emit(e: Expr) -> str:
-    op = e.op
-    if op == "Q":
-        return "q"
-    if op == "Np":
-        return "np"
-    if op == "Nc":
-        return "nc"
-    if op == "const":
+# ---------------------------------------------------------------------------
+# code generation: one emitter for compile_expr and compile_select
+
+# A function node is its bare operation, unless a guard of it can fire. The
+# guard of pdiv, plog and psqrt is its helper (which saturates overflow
+# itself); + - * and a pdiv whose helper is dead keep the overflow guard _fin.
+_BARE = {
+    "+": "({} + {})",
+    "-": "({} - {})",
+    "*": "({} * {})",
+    "pdiv": "({} / {})",
+    "plog": "log({})",
+    "psqrt": "sqrt({})",
+}
+_HELPER = {"pdiv": "_pdiv", "plog": "_plog", "psqrt": "_psqrt"}
+_VARIABLES = {"Q": "q", "Np": "np", "Nc": "nc"}
+
+
+def pick_tied(items: Sequence, vals: Sequence, m, rng):
+    """One of the items whose value equals the maximum m, uniformly at random.
+
+    The tie rule of every argmax: one rng.randrange draw over the tied
+    items in order. The generated select calls it rather than inlining it,
+    since it only runs on a tie and compiling it into every select would
+    add about a tenth to the cost of compile_select.
+    """
+    tied = [x for x, v in zip(items, vals) if v == m]
+    return tied[rng.randrange(len(tied))]
+
+
+_NAMESPACE = {
+    "pick_tied": pick_tied,
+    "_fin": _fin,
+    "_pdiv": _pdiv,
+    "_plog": _plog,
+    "_psqrt": _psqrt,
+    "log": math.log,
+    "sqrt": math.sqrt,
+}
+
+
+def _leaf_source(e: Expr) -> Optional[str]:
+    if e.op == "const":
         return repr(e.value)
-    a = _emit(e.children[0])
-    if op == "plog":
-        return f"_plog({a})"
-    if op == "psqrt":
-        return f"_psqrt({a})"
-    b = _emit(e.children[1])
-    if op == "pdiv":
-        return f"_pdiv({a}, {b})"
-    return f"_fin({a} {op} {b})"
+    return _VARIABLES.get(e.op)
+
+
+def _all_guards(e: Expr) -> Tuple[bool, bool]:
+    return e.op in _HELPER, True
+
+
+def _emit(e: Expr, source=_leaf_source, guards=_all_guards) -> str:
+    """Python source computing e.
+
+    source(node) is the source of a node that needs no operation (a leaf, a
+    folded constant, a hoisted name), else None. guards(node) says whether
+    the node's helper and whether its overflow guard can fire; the overflow
+    guard is only asked of the parenthesised operations + - * and pdiv.
+    Np and Nc stay ints, as in evaluate(), so Np * Np is an exact product.
+    """
+    s = source(e)
+    if s is not None:
+        return s
+    args = [_emit(c, source, guards) for c in e.children]
+    helper, overflow = guards(e)
+    if helper:
+        return f"{_HELPER[e.op]}({', '.join(args)})"
+    s = _BARE[e.op].format(*args)
+    return "_fin" + s if overflow else s
+
+
+# Interval facts per node, over the domain of EvalContext: Q in [0, 1] and
+# visit counts in [1, MAX_FLOAT] (any count a float can hold). A fact is
+# (lo, hi, is_int, deps, helper_live, overflow_live): every value the node
+# takes at runtime lies in [lo, hi]; is_int says the value is a Python int
+# (sums and products of Np and Nc); deps is a bit set of the variables read.
+#
+# IEEE + - * / and sqrt are correctly rounded, hence monotone, so endpoints
+# computed with the same float operations bound the runtime values with no
+# outward rounding. Two exceptions are widened instead: math.log, which is
+# not correctly rounded, and int sums and products, which are exact while
+# their float endpoints round. A guard is dead only when its interval stays
+# clear of the strict tests that fire it, not touching +-PROTECT_EPS or
+# +-MAX_FLOAT; an endpoint of +-inf means "unbounded", never a value.
+_Q, _NP, _NC = 1, 2, 4
+_EXACT = 2.0 ** 53  # float sums and products of ints round beyond this
+_LEAF_FACTS = {
+    "Q": (0.0, 1.0, False, _Q, False, False),
+    "Np": (1.0, MAX_FLOAT, True, _NP, False, False),
+    "Nc": (1.0, MAX_FLOAT, True, _NC, False, False),
+}
+
+
+def _facts(e: Expr, facts: dict, known: dict) -> tuple:
+    """Fill facts[id(node)] for every node of e and return e's.
+
+    A constant subtree is folded by the oracle _eval itself: known[id(node)]
+    gets the source of its value.
+    """
+    op = e.op
+    if op == "const":
+        f = (e.value, e.value, False, 0, False, False)
+    elif op in _LEAF_FACTS:
+        f = _LEAF_FACTS[op]
+    else:
+        kids = [_facts(c, facts, known) for c in e.children]
+        deps = 0
+        for k in kids:
+            deps |= k[3]
+        if deps:
+            lo, hi, is_int, helper, overflow = _RULES[op](*kids)
+            f = (lo, hi, is_int, deps, helper, overflow)
+        else:
+            v = _eval(e, 0.0, 1, 1)
+            known[id(e)] = repr(v)
+            f = (v, v, False, 0, False, False)
+    facts[id(e)] = f
+    return f
+
+
+def _span(corners) -> Tuple[float, float]:
+    """[min, max] of interval corners; a nan corner (inf - inf, inf / inf)
+    leaves the result unbounded."""
+    if any(x != x for x in corners):
+        return -math.inf, math.inf
+    return min(corners), max(corners)
+
+
+def _saturated(lo: float, hi: float) -> Tuple[float, float]:
+    # what _fin leaves of a float interval
+    return max(-MAX_FLOAT, min(lo, MAX_FLOAT)), max(-MAX_FLOAT, min(hi, MAX_FLOAT))
+
+
+def _overflows(lo: float, hi: float) -> bool:
+    return not (-MAX_FLOAT < lo and hi < MAX_FLOAT)
+
+
+def _arith(op):
+    def rule(a, b):
+        alo, ahi, a_int = a[:3]
+        blo, bhi, b_int = b[:3]
+        if op == "+":
+            lo, hi = _span((alo + blo, ahi + bhi))
+        elif op == "-":
+            lo, hi = _span((alo - bhi, ahi - blo))
+        else:
+            # 0 * inf: a zero factor times an unbounded one, whose product is 0
+            corners = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+            lo, hi = _span([x if x == x else 0.0 for x in corners])
+        is_int = a_int and b_int
+        if is_int:
+            if abs(lo) >= _EXACT:
+                lo = math.nextafter(lo, -math.inf)
+            if abs(hi) >= _EXACT:
+                hi = math.nextafter(hi, math.inf)
+        overflow = _overflows(lo, hi)
+        if overflow and not is_int:  # _fin leaves ints alone
+            lo, hi = _saturated(lo, hi)
+        return lo, hi, is_int, False, overflow
+
+    return rule
+
+
+def _pdiv_rule(a, b):
+    alo, ahi = a[:2]
+    blo, bhi = b[:2]
+    helper = not (blo > PROTECT_EPS or bhi < -PROTECT_EPS)
+    corners = []
+    # the divisors the guard lets through
+    if bhi >= PROTECT_EPS:
+        corners += [x / y for x in (alo, ahi) for y in (max(blo, PROTECT_EPS), bhi)]
+    if blo <= -PROTECT_EPS:
+        corners += [x / y for x in (alo, ahi) for y in (blo, min(bhi, -PROTECT_EPS))]
+    lo, hi = _span(corners) if corners else (1.0, 1.0)
+    overflow = _overflows(lo, hi)
+    if overflow:
+        lo, hi = _saturated(lo, hi)
+    if helper:
+        lo, hi = min(lo, 1.0), max(hi, 1.0)
+    return lo, hi, False, helper, overflow
+
+
+def _magnitude(lo: float, hi: float) -> Tuple[float, float]:
+    """Interval of abs(x) for x in [lo, hi]."""
+    if lo >= 0.0:
+        return lo, hi
+    if hi <= 0.0:
+        return -hi, -lo
+    return 0.0, max(-lo, hi)
+
+
+def _widened_log(lo: float, hi: float) -> Tuple[float, float]:
+    # math.log is not correctly rounded: within one ulp on common libms, so
+    # two computed logs can be out of order by two ulps. An error under one
+    # ulp cannot flip a sign, so log(x) >= 0 still holds for x >= 1.
+    nonnegative = lo >= 1.0
+    lo, hi = math.log(lo), math.log(hi)
+    for _ in range(2):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    return (max(lo, 0.0) if nonnegative else lo), hi
+
+
+def _plog_rule(a):
+    alo, ahi = a[:2]
+    if alo > PROTECT_EPS:  # log(a) is _plog(a)
+        return _widened_log(alo, ahi) + (False, False, False)
+    mlo, mhi = _magnitude(alo, ahi)
+    lo = hi = 1.0
+    if mhi >= PROTECT_EPS:  # the magnitudes the guard lets through
+        llo, lhi = _widened_log(max(mlo, PROTECT_EPS), mhi)
+        lo, hi = min(lo, llo), max(hi, lhi)
+    return lo, hi, False, True, False
+
+
+def _psqrt_rule(a):
+    # With lo >= 0, sqrt(a) is _psqrt(a) except that sqrt(-0.0) is -0.0
+    # where _psqrt gives 0.0. The sign of a zero cannot reach the argmax:
+    # pdiv and plog guard every zero divisor and argument, and the argmax
+    # compares scores with == and max, under which -0.0 equals 0.0.
+    mlo, mhi = _magnitude(*a[:2])
+    return math.sqrt(mlo), math.sqrt(mhi), False, a[0] < 0.0, False
+
+
+_RULES = {
+    "+": _arith("+"),
+    "-": _arith("-"),
+    "*": _arith("*"),
+    "pdiv": _pdiv_rule,
+    "plog": _plog_rule,
+    "psqrt": _psqrt_rule,
+}
+
+
+def _hoists(e: Expr, facts: dict, out: list):
+    """The largest subtrees of e that read Np and nothing else but constants."""
+    if facts[id(e)][3] == _NP and e.children:
+        out.append(e)
+    elif facts[id(e)][3]:
+        for c in e.children:
+            _hoists(c, facts, out)
+
+
+def compile_select(e: Expr, k: int) -> Callable:
+    """Generate the selection step of a search tree whose policy is e.
+
+    The result, select(root, rng), returns the path from root down to the
+    first node that still has untried actions or no children, choosing
+    among the k children of each node on the way by the argmax of e. It
+    reads nodes through their visits, total_reward, children and
+    untried_actions, and takes exactly the path, and the rng draws, of
+    argmax over evaluate(e, EvalContext(Q, Np, Nc)) (see tests/test_oracles.py):
+
+    - the k children are unpacked and e is written out once per child;
+    - subtrees that read only Np are computed once per level;
+    - constant subtrees are folded by calling _eval;
+    - a protection is dropped only where the interval facts above prove it
+      cannot fire, so e.g. UCB1 becomes q + c * sqrt(2 * log(np) / nc);
+    - the argmax draws rng.randrange once, and only on an exact tie.
+    """
+    facts: dict = {}
+    known: dict = {}
+    _facts(e, facts, known)
+
+    def source(n):
+        return known.get(id(n)) or _leaf_source(n)
+
+    def guards(n):
+        return facts[id(n)][4:]
+
+    hoists: list = []
+    _hoists(e, facts, hoists)
+    hoisted = []
+    for i, h in enumerate(hoists):
+        hoisted.append(f"h{i} = {_emit(h, source, guards)}")
+        known[id(h)] = f"h{i}"
+    score = _emit(e, source, guards)
+
+    body = []
+    for i in range(k):
+        # q first: a child without visits raises ZeroDivisionError before
+        # anything of e is computed, as in the reference
+        body += [f"nc = k{i}.visits", f"q = k{i}.total_reward / nc"]
+        if i == 0:
+            body += hoisted
+        body.append(f"s{i} = {score}")
+    kids = "".join(f"k{i}, " for i in range(k))
+    scores = ", ".join(f"s{i}" for i in range(k))
+    lines = [
+        "def select(root, rng):",
+        "    node = root",
+        "    path = [node]",
+        "    while not node.untried_actions and node.children:",
+        "        kids = node.children",
+        f"        {kids}= kids",
+        "        np = node.visits",
+        *("        " + line for line in body),
+        f"        vals = [{scores}]",
+        "        m = max(vals)",
+        "        if vals.count(m) == 1:",
+        "            node = kids[vals.index(m)]",
+        "        else:",
+        "            node = pick_tied(kids, vals, m, rng)",
+        "        path.append(node)",
+        "    return path",
+    ]
+    ns = dict(_NAMESPACE)
+    exec("\n".join(lines), ns)
+    return ns["select"]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 from .evo import EvoConfig, evolve_policy, fitness_budget, log_unreachable_window
 from .expr import Expr, parse_text, to_text, ucb1_seed
 from .fop import FopConfig, FunctionId
-from .harness_io import write_config_echo, write_csvs
+from .harness_io import write_config_echo, write_csvs, write_runs
 from .metrics import (
     RunRecord,
     StageTracker,
@@ -68,17 +68,26 @@ class ConfigError(ValueError):
 
 
 class RunFailure(RuntimeError):
-    """A single run raised; maps to exit code 2."""
+    """A single run raised; maps to exit code 2.
 
-    def __init__(self, agent: str, function: str, run_index: int, cause: str):
-        super().__init__(f"run failed: agent={agent} function={function} run={run_index}: {cause}")
+    finished, once run_batch has saved them, counts the runs written to a
+    partial runs.csv.
+    """
+
+    def __init__(self, agent: str, function: str, run_index: int, cause: str,
+                 finished: Optional[int] = None):
+        msg = f"run failed: agent={agent} function={function} run={run_index}: {cause}"
+        if finished is not None:
+            msg += f"; the {finished} runs finished before it are in runs.csv"
+        super().__init__(msg)
         self.agent = agent
         self.function = function
         self.run_index = run_index
         self.cause = cause
+        self.finished = finished
 
     def __reduce__(self):  # the default re-calls __init__ with the message alone
-        return type(self), (self.agent, self.function, self.run_index, self.cause)
+        return type(self), (self.agent, self.function, self.run_index, self.cause, self.finished)
 
 
 @dataclass(frozen=True)
@@ -247,16 +256,25 @@ def run_batch(cfg: ExperimentConfig) -> Tuple[List[RunRecord], list]:
     records: List[RunRecord] = []
     workers = worker_count(cfg.jobs, len(tasks))
     step = max(1, len(tasks) // 20)
+    failure = None
     # Executor.map submits every task up front and cancels the pending ones
     # when a result raises
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         results = pool.map(_run_task, tasks) if pool else map(_run_task, tasks)
-        for i, record in enumerate(results, 1):
-            records.append(record)
-            if i % step == 0 or i == len(tasks):
-                log.info("%d/%d runs done", i, len(tasks))
+        try:
+            for i, record in enumerate(results, 1):
+                records.append(record)
+                if i % step == 0 or i == len(tasks):
+                    log.info("%d/%d runs done", i, len(tasks))
+        except RunFailure as e:
+            failure = e
 
     records.sort(key=lambda r: (r.agent, r.function, r.seed))
+    if failure is not None:
+        # keep the finished work; a summary of part of the grid would mislead
+        write_runs(cfg.out_dir, records)
+        raise RunFailure(failure.agent, failure.function, failure.run_index, failure.cause,
+                         len(records)) from failure
     summary = summarize(records)
     write_csvs(cfg.out_dir, records, summary)
     write_config_echo(cfg)

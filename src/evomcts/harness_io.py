@@ -35,11 +35,7 @@ def _writer(fh):
 
 
 def write_csvs(out_dir: str, records: Sequence[RunRecord], summary: Sequence[SummaryRow]):
-    with open(os.path.join(out_dir, "runs.csv"), "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(RUNS_COLUMNS)
-        for r in records:
-            w.writerow([getattr(r, col) for col in RUNS_COLUMNS])
+    write_runs(out_dir, records)
 
     with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as fh:
         w = _writer(fh)
@@ -48,6 +44,15 @@ def write_csvs(out_dir: str, records: Sequence[RunRecord], summary: Sequence[Sum
             w.writerow((row.agent, row.function, row.metric, row.mean, row.std, row.n))
 
     _write_histograms(out_dir, records)
+
+
+def write_runs(out_dir: str, records: Sequence[RunRecord]):
+    """runs.csv alone; a failed batch writes it for the runs that finished."""
+    with open(os.path.join(out_dir, "runs.csv"), "w", newline="") as fh:
+        w = _writer(fh)
+        w.writerow(RUNS_COLUMNS)
+        for r in records:
+            w.writerow([getattr(r, col) for col in RUNS_COLUMNS])
 
 
 def _bin_rows(values: Sequence) -> list:

@@ -3,14 +3,17 @@
 The statistics tree grows one node per iteration (select, expand, rollout,
 backpropagate). Child choice during selection is argmax of a pluggable
 policy expression evaluated on (Q child, N parent, N child); exact value
-ties are broken uniformly at random.
+ties are broken uniformly at random. Installing a policy generates the
+selection step for it (expr.compile_select), with evaluate() as its oracle.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .expr import Expr, compile_expr
+# compile_expr is not called here, but stays bound as mcts.compile_expr:
+# bench/tracing.py wraps that name
+from .expr import Expr, compile_expr, compile_select, pick_tied  # noqa: F401
 from .fop import (
     ROOT,
     FopConfig,
@@ -51,12 +54,12 @@ class SearchTree:
         self.iterations_done = 0
         self.expansions_done = 0
         self.policy: Expr = None
-        self._policy_fn = None
+        self._select = None
         self.set_policy(policy)
 
     def set_policy(self, e: Expr):
         self.policy = e
-        self._policy_fn = compile_expr(e)
+        self._select = compile_select(e, self.cfg.branching)
 
     def make_node(self, state: FopState, born: int = 0) -> TreeNode:
         n = 0 if is_terminal(state, self.cfg) else self.cfg.branching
@@ -68,23 +71,9 @@ def select(tree: SearchTree, rng) -> List[TreeNode]:
 
     Descends through fully expanded nodes by policy argmax; every child on
     the way has at least one visit, so the policy inputs are well defined.
+    The step itself is generated for the installed policy by set_policy.
     """
-    node = tree.root
-    path = [node]
-    fn = tree._policy_fn
-    while not node.untried_actions and node.children:
-        kids = node.children
-        np = node.visits
-        vals = [fn(k.total_reward / k.visits, np, k.visits) for k in kids]
-        # argmax() written inline: calling it here costs ~5% CPU on UCT grids
-        m = max(vals)
-        if vals.count(m) == 1:
-            node = kids[vals.index(m)]
-        else:
-            tied = [k for k, v in zip(kids, vals) if v == m]
-            node = tied[rng.randrange(len(tied))]
-        path.append(node)
-    return path
+    return tree._select(tree.root, rng)
 
 
 def expand(tree: SearchTree, node: TreeNode, rng) -> Optional[TreeNode]:
@@ -140,8 +129,7 @@ def argmax(items: Sequence, key: Callable, rng):
     m = max(vals)
     if vals.count(m) == 1:
         return items[vals.index(m)]
-    tied = [x for x, v in zip(items, vals) if v == m]
-    return tied[rng.randrange(len(tied))]
+    return pick_tied(items, vals, m, rng)
 
 
 def _descend(node: TreeNode, key, rng) -> TreeNode:

@@ -15,6 +15,7 @@ from evomcts.expr import (
     ExprParseError,
     _choose_point,
     compile_expr,
+    compile_select,
     depth,
     evaluate,
     parse_text,
@@ -222,6 +223,49 @@ def test_compiled_seed_matches_interpreter():
             assert fn(q, n_parent, n_child) == evaluate(
                 ucb1_seed(c), EvalContext(q, n_parent, n_child)
             )
+
+
+# ---------------------------------------------------------------------------
+# the generated selection step: protections kept only where they can fire
+
+PROTECTIONS = {"_fin", "_pdiv", "_plog", "_psqrt"}
+
+
+def kept_protections(e, k=2):
+    return PROTECTIONS & set(compile_select(e, k).__code__.co_names)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_ucb1_select_is_guard_free(k):
+    for c in CONST_POOL:
+        assert kept_protections(ucb1_seed(c), k) == set()
+
+
+def product_of_np(d):
+    return "Np" if d == 1 else f"(* {product_of_np(d - 1)} {product_of_np(d - 1)})"
+
+
+@pytest.mark.parametrize(
+    "text, guard",
+    [
+        ("(pdiv Q (- Nc 1))", "_pdiv"),  # Nc = 1 divides by zero
+        ("(plog Q)", "_plog"),  # Q = 0
+        ("(psqrt (- Q 1))", "_psqrt"),  # Q < 1 is negative
+        (product_of_np(MAX_DEPTH), "_fin"),  # Np ** 128 passes MAX_FLOAT
+    ],
+)
+def test_protections_that_can_fire_are_kept(text, guard):
+    assert guard in kept_protections(parse_text(text))
+
+
+def test_dead_protections_are_dropped():
+    # log(Np) >= 0 and Nc >= 1: no divisor near zero, no log argument near
+    # zero, no negative root, no overflow
+    assert kept_protections(parse_text("(pdiv (plog Np) Nc)")) == set()
+    assert kept_protections(parse_text("(plog (+ Q 1))")) == set()
+    assert kept_protections(parse_text("(psqrt (* Q 3))")) == set()
+    # counts reach MAX_FLOAT, so Nc + Q may overflow; its log cannot fire
+    assert kept_protections(parse_text("(plog (+ Nc Q))")) == {"_fin"}
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,40 @@ def test_run_failure_pickle_round_trip():
     back = pickle.loads(pickle.dumps(err))
     assert type(back) is RunFailure and str(back) == str(err)
     assert (back.agent, back.function, back.run_index, back.cause) == ("uct:1", "f1", 0, "x")
+    saved = pickle.loads(pickle.dumps(RunFailure("uct:1", "f1", 0, "x", 3)))
+    assert saved.finished == 3 and "3 runs finished" in str(saved)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failed_batch_keeps_finished_runs(tmp_path, monkeypatch, jobs):
+    import evomcts.harness as hmod
+
+    real_run_one = hmod.run_one
+
+    def third_run_fails(cfg, agent, fid, run_index):
+        if run_index == 2:
+            raise ValueError("boom")
+        return real_run_one(cfg, agent, fid, run_index)
+
+    def config(out, runs):
+        return default_config(functions=(FunctionId.F1,), agents=(parse_agent("uct:1"),),
+                              runs=runs, uct_iterations=50, jobs=jobs, out_dir=str(out))
+
+    clean = config(tmp_path / "clean", 2)
+    run_batch(clean)
+    # forked workers inherit the patched run_one
+    monkeypatch.setattr(hmod, "run_one", third_run_fails)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    failed = config(tmp_path / "failed", 4)
+    with pytest.raises(RunFailure, match="the 2 runs finished before it") as info:
+        run_batch(failed)
+    assert (info.value.run_index, info.value.finished) == (2, 2)
+    # the partial runs.csv is the one a clean batch of the two runs writes
+    with open(os.path.join(clean.out_dir, "runs.csv"), "rb") as fh:
+        want = fh.read()
+    with open(os.path.join(failed.out_dir, "runs.csv"), "rb") as fh:
+        assert fh.read() == want
+    assert os.listdir(failed.out_dir) == ["runs.csv"]
 
 
 # ---------------------------------------------------------------------------
@@ -390,4 +424,4 @@ def test_main_run_failure_exit_two(tmp_path, capsys, monkeypatch, jobs):
                  "--jobs", jobs, "--out", str(tmp_path / "out")])
     assert code == 2
     err = capsys.readouterr().err
-    assert "uct:1" in err and "boom" in err
+    assert "uct:1" in err and "boom" in err and "the 0 runs finished before it" in err

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from evomcts.expr import Expr, ucb1_seed
+from evomcts.expr import EvalContext, Expr, evaluate, parse_text, ucb1_seed
 from evomcts.fop import ROOT, FopConfig, FopState, FunctionId, center, children, f_eval
 from evomcts.mcts import (
     SearchTree,
@@ -103,6 +103,18 @@ def test_select_is_read_only():
     before = dump_tree(tree)
     select(tree, random.Random(0))
     assert dump_tree(tree) == before
+
+
+def test_kept_pdiv_scores_one_at_nc_one():
+    # child 0 at Nc = 1 divides by zero and scores the guard's 1.0; child 1
+    # scores 1.0 / 1.0: only an exact tie makes select draw
+    policy = parse_text("(pdiv Q (- Nc 1))")
+    assert evaluate(policy, EvalContext(0.0, 3, 1)) == 1.0
+    tree = make_tree(policy)
+    graft_children(tree, tree.root, [(1, 0), (2, 2)])
+    tree.root.visits = 3
+    picks = [select(tree, random.Random(i))[1] for i in range(200)]
+    assert set(map(id, picks)) == set(map(id, tree.root.children))
 
 
 # ---------------------------------------------------------------------------

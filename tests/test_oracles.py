@@ -1,17 +1,30 @@
-"""Differential oracles: pinned output bytes and stage snapshots rebuilt by a spy.
+"""Differential oracles: pinned output bytes, stage snapshots rebuilt by a
+spy, and the generated selection step against evaluate().
 
 A pin that changes is a behaviour change, not a test to update in passing.
 """
 
 import hashlib
 import os
+import random
 
 import pytest
 
 from evomcts import evo, harness, mcts
 from evomcts.evo import EvoConfig, fitness_budget
-from evomcts.fop import FunctionId
+from evomcts.expr import (
+    CONST_POOL,
+    MAX_DEPTH,
+    EvalContext,
+    evaluate,
+    parse_text,
+    random_subtree,
+    subtree_mutate,
+    ucb1_seed,
+)
+from evomcts.fop import FopConfig, FunctionId, children
 from evomcts.harness import default_config, parse_agent, run_batch, run_one
+from evomcts.mcts import SearchTree, argmax, run_iterations
 from evomcts.metrics import histogram, stage_marks
 
 # sha256 of the four CSVs for a small grid at full budgets, base seed 0
@@ -79,3 +92,126 @@ def test_stage_snapshots_match_a_per_iteration_spy(monkeypatch, tmp_path, agent)
     assert spied == plain
     assert len(snapshots) == 3
     assert plain.histograms == tuple(tuple(h) for h in snapshots)
+
+
+# ---------------------------------------------------------------------------
+# the generated select against evaluate()
+
+def reference_select(tree, rng):
+    """select() as the argmax of evaluate() over each level's children."""
+    node = tree.root
+    path = [node]
+    while not node.untried_actions and node.children:
+        n_parent = node.visits
+
+        def score(k):
+            ctx = EvalContext(k.total_reward / k.visits, n_parent, k.visits)
+            return evaluate(tree.policy, ctx)
+
+        node = argmax(node.children, score, rng)
+        path.append(node)
+    return path
+
+
+def outcome(select_fn, tree, seed):
+    """(path or exception type, rng state afterwards) of one select call."""
+    rng = random.Random(seed)
+    try:
+        got = select_fn(tree, rng)
+    except (ArithmeticError, ValueError) as e:
+        got = type(e)
+    return got, rng.getstate()
+
+
+def build_stats_tree(tree, node, rng, depth_left, scale=1):
+    """Criterion 7's random statistics tree: two children per expanded node,
+    visits drawn from 1..9999 (times scale) whatever the parent's, Q uniform
+    in [0, 1)."""
+    if depth_left == 0 or rng.random() < 0.35:
+        return
+    visits = [v * scale for v in rng.sample(range(1, 10_000), 2)]
+    node.untried_actions = []
+    for state, v in zip(children(node.state, tree.cfg), visits):
+        kid = tree.make_node(state)
+        kid.visits = v
+        kid.total_reward = rng.random() * v
+        node.children.append(kid)
+        build_stats_tree(tree, kid, rng, depth_left - 1, scale)
+
+
+def product_of_np(d):
+    """A full tree of * over Np leaves, of depth d."""
+    return "Np" if d == 1 else f"(* {product_of_np(d - 1)} {product_of_np(d - 1)})"
+
+
+# protections that can fire, exact ties, and ints past the float range
+EDGE_POLICIES = [
+    "(pdiv Q (- Nc 1))",
+    "(plog Q)",
+    "(psqrt (- Q 1))",
+    "(pdiv Np (plog Np))",
+    "(- Np Np)",
+    "(* Nc (pdiv 2 3))",
+    product_of_np(MAX_DEPTH),
+    f"(+ Q {product_of_np(MAX_DEPTH)})",
+    f"(psqrt {product_of_np(MAX_DEPTH)})",
+]
+
+
+def differential_policies():
+    rng = random.Random(2024)
+    policies = [parse_text(t) for t in EDGE_POLICIES]
+    policies += [random_subtree(MAX_DEPTH, rng) for _ in range(300)]
+    for c in CONST_POOL:
+        e = ucb1_seed(c)
+        policies.append(e)
+        for _ in range(30):
+            e = subtree_mutate(e, rng)
+            policies.append(e)
+    return policies
+
+
+def differential_trees():
+    rng = random.Random(7)
+    trees = []
+    for fid in FunctionId:
+        tree = SearchTree(ucb1_seed(CONST_POOL[2]))
+        run_iterations(tree, fid, 250, rng)
+        trees.append(tree)
+    tree = SearchTree(ucb1_seed(CONST_POOL[2]), FopConfig(branching=3))
+    run_iterations(tree, FunctionId.F3, 250, rng)
+    trees.append(tree)
+    # the last two near the top of the count domain, where floats overflow
+    for scale in [1] * 6 + [10**296] * 2:
+        tree = SearchTree(ucb1_seed(CONST_POOL[2]))
+        tree.root.visits = 1
+        while not tree.root.children:
+            build_stats_tree(tree, tree.root, rng, 6, scale)
+        trees.append(tree)
+    # a child without visits: both sides raise ZeroDivisionError
+    tree = SearchTree(ucb1_seed(CONST_POOL[2]))
+    tree.root.visits = 1
+    tree.root.untried_actions = []
+    for state, v in zip(children(tree.root.state, tree.cfg), (1, 0)):
+        kid = tree.make_node(state)
+        kid.visits = kid.total_reward = v
+        tree.root.children.append(kid)
+    trees.append(tree)
+    return trees
+
+
+def test_generated_select_matches_evaluate():
+    trees = differential_trees()
+    checked = raised = tied = 0
+    for i, policy in enumerate(differential_policies()):
+        for tree in trees:
+            tree.set_policy(policy)
+            for seed in (i, i + 10_000):
+                want = outcome(reference_select, tree, seed)
+                got = outcome(mcts.select, tree, seed)
+                assert got == want, (str(policy), tree.cfg, seed)
+                checked += 1
+                raised += isinstance(got[0], type)
+                tied += got[1] != random.Random(seed).getstate()
+    # the comparison saw exceptions and tie draws, not only clean argmaxes
+    assert checked > 12_000 and raised > 0 and tied > 0
