@@ -45,6 +45,7 @@ class EvoConfig:
             raise ValueError("need 0 <= alpha < beta")
         if self.fallback not in ("random", "best"):
             raise ValueError(f"unknown fallback {self.fallback!r}")
+        ucb1_seed(self.c_init)  # raises unless c_init is a constant the seed can hold
 
 
 def fitness_budget(cfg: EvoConfig) -> int:
@@ -104,37 +105,32 @@ def plain_select(offspring: Sequence[EvaluatedPolicy], rng) -> EvaluatedPolicy:
 def semantic_select(
     offspring: Sequence[EvaluatedPolicy],
     parent: EvaluatedPolicy,
-    alpha: float,
-    beta: float,
+    cfg: EvoConfig,
     rng,
-    fallback: str = "random",
 ) -> EvaluatedPolicy:
     """Semantics-aware replacement choice among the offspring.
 
     Only a fitness tie at the top triggers the semantic step: among all
-    offspring whose distance to the parent falls strictly inside (alpha,
-    beta), take the one closest to alpha. With no tie, or nothing inside the
-    window, fall back to a uniformly random offspring (fallback="random",
-    the literal rule) or to the best one (fallback="best").
+    offspring whose distance to the parent falls strictly inside the
+    (cfg.alpha, cfg.beta) window, take the one closest to alpha. With no
+    tie, or nothing inside the window, fall back to a uniformly random
+    offspring (cfg.fallback "random", the literal rule) or to the best one
+    ("best").
     """
     if not offspring:
         raise ValueError("no offspring to select from")
-    if fallback not in ("random", "best"):
-        raise ValueError(f"unknown fallback {fallback!r}")
     best = max(o.fitness for o in offspring)
-    tied = [o for o in offspring if o.fitness == best]
-    if len(tied) > 1:
-        dists = [ssd(o.semantics, parent.semantics) for o in offspring]
-        inside = [(o, d) for o, d in zip(offspring, dists) if alpha < d < beta]
+    if sum(o.fitness == best for o in offspring) > 1:
+        inside = [o for o in offspring if ssi(o.semantics, parent.semantics, cfg.alpha, cfg.beta)]
         if inside:
-            return argmax(inside, lambda od: -abs(od[1] - alpha), rng)[0]
-        if alpha >= 1.0 and all(d <= 1.0 for d in dists):
+            return argmax(inside, lambda o: -abs(ssd(o.semantics, parent.semantics) - cfg.alpha),
+                          rng)
+        if cfg.alpha >= 1.0 and all(ssd(o.semantics, parent.semantics) <= 1.0 for o in offspring):
             # with 0/1 rewards every distance is at most 1, so the window
             # cannot trigger; see log_unreachable_window
-            log.debug(
-                "semantic window (%g, %g) missed: distances max out at 1", alpha, beta
-            )
-    if fallback == "best":
+            log.debug("semantic window (%g, %g) missed: distances max out at 1",
+                      cfg.alpha, cfg.beta)
+    if cfg.fallback == "best":
         return plain_select(offspring, rng)
     return offspring[rng.randrange(len(offspring))]
 
@@ -178,7 +174,7 @@ def evolve_policy(
             for _ in range(cfg.offspring)
         ]
         if semantic:
-            parent = semantic_select(brood, parent, cfg.alpha, cfg.beta, rng, cfg.fallback)
+            parent = semantic_select(brood, parent, cfg, rng)
         else:
             parent = plain_select(brood, rng)
     tree.set_policy(parent.expr)

@@ -3,8 +3,11 @@
 A policy is a small typed tree over the statistics visible when scoring one
 child of a node: the child's mean reward Q, the parent visit count Np, and
 the child visit count Nc. The function set is arithmetic with protected
-division, log and sqrt, so evaluation is total over the finite reals: no
-NaN, no infinities (overflow saturates to the largest finite float).
+division, log and sqrt, so evaluation over floats is finite: no NaN, no
+infinities (overflow saturates to the largest finite float). Visit counts
+are ints, kept exact by + - *, so a sum or product of counts past the float
+range raises OverflowError where it meets a float or a division, e.g.
+(+ Q (* Np Np)) at Np = 10**200.
 """
 
 from __future__ import annotations
@@ -111,7 +114,7 @@ def _psqrt(a: float) -> float:
 
 
 def evaluate(e: Expr, ctx: EvalContext) -> float:
-    """Value of e at ctx. Total: finite output for finite inputs."""
+    """Value of e at ctx; finite for float counts (int counts: see the module doc)."""
     return _eval(e, ctx.q, ctx.n_parent, ctx.n_child)
 
 

@@ -94,14 +94,14 @@ class RunFailure(RuntimeError):
 class AgentSpec:
     """One column of the comparison grid.
 
-    kind "uct" uses the UCB1 rule with constant c for the whole run; "ea"
+    kind "uct" runs the UCB1 rule with its constant, and "expr" a
+    user-supplied expression, as the fixed policy for the whole run; "ea"
     and "siea" evolve the policy online and then search for another budget
-    iterations; "expr" runs a fixed user-supplied policy expression.
+    iterations.
     """
 
     kind: str
     label: str
-    c: Optional[float] = None
     budget: Optional[int] = None
     policy: Optional[Expr] = None
 
@@ -114,7 +114,7 @@ def parse_agent(token: str) -> AgentSpec:
                 f"bad agent {token!r}: uct constant must be one of "
                 + ", ".join(sorted(UCT_C_TOKENS))
             )
-        return AgentSpec("uct", f"uct:{arg}", c=UCT_C_TOKENS[arg])
+        return AgentSpec("uct", f"uct:{arg}", policy=ucb1_seed(UCT_C_TOKENS[arg]))
     if kind in ("ea", "siea"):
         try:
             budget = int(arg)
@@ -180,9 +180,8 @@ def run_one(cfg: ExperimentConfig, agent: AgentSpec, fid: FunctionId, run_index:
     fitness_iters = 0
 
     if agent.kind in ("uct", "expr"):
-        policy = agent.policy if agent.kind == "expr" else ucb1_seed(agent.c)
         total = cfg.uct_iterations
-        tree = SearchTree(policy, cfg.fop)
+        tree = SearchTree(agent.policy, cfg.fop)
         run_iterations(tree, fid, total, rng)
     else:
         fitness_iters = fitness_budget(cfg.evo)
@@ -290,6 +289,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def cli_parse(argv: Sequence[str]) -> ExperimentConfig:
+    """The ExperimentConfig of a command line; an unset flag keeps default_config()'s value."""
+    base = default_config()
     p = _Parser(
         prog="evomcts",
         description="Compare tree-search agents on the five interval-splitting landscapes.",
@@ -298,13 +299,18 @@ def cli_parse(argv: Sequence[str]) -> ExperimentConfig:
                    help="comma list of landscapes, e.g. f1,f3 (default: all five)")
     p.add_argument("--agents", default=None,
                    help="comma list of agents, e.g. uct:sqrt2,ea:2570 (default: the full grid)")
-    p.add_argument("--runs", type=int, default=30, help="repetitions per cell (default 30)")
-    p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    p.add_argument("--bins", type=int, default=100, help="histogram bins (default 100)")
-    p.add_argument("--alpha", type=float, default=5.0, help="semantic window lower bound")
-    p.add_argument("--beta", type=float, default=10.0, help="semantic window upper bound")
-    p.add_argument("--out", default="results", metavar="DIR", help="output directory")
-    p.add_argument("--jobs", type=int, default=1, metavar="N", help="parallel worker processes")
+    p.add_argument("--runs", type=int, default=base.runs,
+                   help="repetitions per cell (default %(default)s)")
+    p.add_argument("--seed", type=int, default=base.base_seed, help="base seed (default %(default)s)")
+    p.add_argument("--bins", type=int, default=base.bins, help="histogram bins (default %(default)s)")
+    p.add_argument("--alpha", type=float, default=base.evo.alpha,
+                   help="semantic window lower bound (default %(default)s)")
+    p.add_argument("--beta", type=float, default=base.evo.beta,
+                   help="semantic window upper bound (default %(default)s)")
+    p.add_argument("--out", default=base.out_dir, metavar="DIR",
+                   help="output directory (default %(default)s)")
+    p.add_argument("--jobs", type=int, default=base.jobs, metavar="N",
+                   help="parallel worker processes (default %(default)s)")
     p.add_argument("--dump-trees", action="store_true", help="write a per-run tree dump")
     p.add_argument("--policy-expr", default=None, metavar="EXPR",
                    help="run a fixed selection policy given in prefix text")
@@ -314,7 +320,7 @@ def cli_parse(argv: Sequence[str]) -> ExperimentConfig:
         functions = tuple(FunctionId(tok) for tok in _split(ns.functions))
     except ValueError as e:
         raise ConfigError(f"bad --functions: {e}") from None
-    agents = tuple(parse_agent(tok) for tok in _split(ns.agents or ",".join(DEFAULT_AGENTS)))
+    agents = tuple(parse_agent(tok) for tok in _split(ns.agents)) if ns.agents else base.agents
     if ns.policy_expr is not None:
         try:
             policy = parse_text(ns.policy_expr)
@@ -323,10 +329,11 @@ def cli_parse(argv: Sequence[str]) -> ExperimentConfig:
         custom = AgentSpec("expr", "expr", policy=policy)
         agents = (custom,) if ns.agents is None else agents + (custom,)
     try:
-        evo = EvoConfig(alpha=ns.alpha, beta=ns.beta)
+        evo = replace(base.evo, alpha=ns.alpha, beta=ns.beta)
     except ValueError as e:
         raise ConfigError(f"bad --alpha/--beta: {e}") from None
-    return ExperimentConfig(
+    return replace(
+        base,
         functions=functions,
         agents=agents,
         runs=ns.runs,

@@ -8,26 +8,13 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Sequence
 
 from .expr import to_text
 from .metrics import STAGE_LABELS, RunRecord, SummaryRow
 
-RUNS_COLUMNS = (
-    "agent",
-    "function",
-    "seed",
-    "expansion_rate",
-    "terminal_states",
-    "most_visited_x",
-    "most_visited_value",
-    "best_reward_x",
-    "best_reward_value",
-    "iterations",
-    "fitness_iterations",
-    "evolved_policy",
-)
+RUNS_COLUMNS = tuple(f.name for f in fields(RunRecord) if f.name != "histograms")
 
 
 def _writer(fh):

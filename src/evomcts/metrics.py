@@ -35,7 +35,7 @@ def terminal_states_reached(tree: SearchTree) -> int:
     return sum(1 for node, _ in iter_nodes(tree) if is_terminal(node.state, tree.cfg))
 
 
-def histogram(tree: SearchTree, bins: int = 100, at: Optional[int] = None) -> List[int]:
+def histogram(tree: SearchTree, bins: int, at: Optional[int] = None) -> List[int]:
     """Node midpoints bucketed into even bins over [0, 1].
 
     Bin i covers [i/bins, (i+1)/bins), except the last which also takes 1.0.
@@ -55,11 +55,11 @@ def histogram(tree: SearchTree, bins: int = 100, at: Optional[int] = None) -> Li
     return counts
 
 
-def stage_marks(total: int, fractions: Sequence[float] = STAGE_FRACTIONS) -> List[int]:
+def stage_marks(total: int) -> List[int]:
     """Iteration counts at which stage snapshots fire (nearest, at least 1)."""
     if total < 1:
         raise ValueError("total iterations must be >= 1")
-    return [max(1, round(f * total)) for f in fractions]
+    return [max(1, round(f * total)) for f in STAGE_FRACTIONS]
 
 
 class StageTracker:
@@ -70,7 +70,7 @@ class StageTracker:
     holds one count vector per stage.
     """
 
-    def __init__(self, total: int, bins: int = 100):
+    def __init__(self, total: int, bins: int):
         self.marks = stage_marks(total)
         self.bins = bins
         self.histograms: List[List[int]] = []

@@ -62,6 +62,8 @@ def test_config_validation():
         EvoConfig(generations=-1)
     with pytest.raises(ValueError):
         EvoConfig(offspring=0)
+    with pytest.raises(ValueError):
+        EvoConfig(c_init=0.7)  # ucb1_seed takes constants from CONST_POOL only
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +163,7 @@ def test_semantic_select_takes_closest_to_alpha():
     parent = cand(0.5, [0.0] * 10)
     o1 = cand(1.0, [6.0] * 10)  # ssd 6, inside (5, 10)
     o2 = cand(1.0, [9.0] * 10)  # ssd 9, inside but further from alpha
-    got = semantic_select([o1, o2], parent, 5.0, 10.0, random.Random(0))
+    got = semantic_select([o1, o2], parent, EvoConfig(), random.Random(0))
     assert got is o1
 
 
@@ -169,7 +171,7 @@ def test_semantic_select_window_is_strict_at_alpha():
     parent = cand(0.5, [0.0] * 10)
     on_edge = cand(1.0, [5.0] * 10)  # ssd exactly 5: excluded
     inside = cand(1.0, [8.0] * 10)
-    got = semantic_select([on_edge, inside], parent, 5.0, 10.0, random.Random(0))
+    got = semantic_select([on_edge, inside], parent, EvoConfig(), random.Random(0))
     assert got is inside
 
 
@@ -180,7 +182,7 @@ def test_semantic_select_considers_all_offspring_distances():
     t1 = cand(1.0, [0.2] * 10)
     t2 = cand(1.0, [0.4] * 10)
     low = cand(0.3, [7.0] * 10)
-    got = semantic_select([t1, t2, low], parent, 5.0, 10.0, random.Random(0))
+    got = semantic_select([t1, t2, low], parent, EvoConfig(), random.Random(0))
     assert got is low
 
 
@@ -190,7 +192,7 @@ def test_semantic_select_tie_without_window_falls_back_uniform():
     t2 = cand(1.0, [0.4] * 4)
     seen = set()
     for i in range(200):
-        seen.add(id(semantic_select([t1, t2], parent, 5.0, 10.0, random.Random(i))))
+        seen.add(id(semantic_select([t1, t2], parent, EvoConfig(), random.Random(i))))
     assert seen == {id(t1), id(t2)}
 
 
@@ -200,7 +202,7 @@ def test_semantic_select_no_tie_random_fallback_is_uniform():
     counts = [0, 0, 0, 0]
     n = 4000
     for i in range(n):
-        got = semantic_select(brood, parent, 5.0, 10.0, random.Random(i))
+        got = semantic_select(brood, parent, EvoConfig(), random.Random(i))
         counts[brood.index(got)] += 1
     for c in counts:
         assert abs(c / n - 0.25) <= 0.05
@@ -210,15 +212,16 @@ def test_semantic_select_no_tie_best_fallback():
     parent = cand(0.9, [1.0] * 4)
     brood = [cand(f, [f] * 4) for f in (0.1, 0.4, 0.3, 0.2)]
     for i in range(50):
-        got = semantic_select(brood, parent, 5.0, 10.0, random.Random(i), fallback="best")
+        got = semantic_select(brood, parent, EvoConfig(fallback="best"), random.Random(i))
         assert got is brood[1]
 
 
 def test_semantic_select_rejects_unknown_fallback():
+    # the fallback is checked once, when its EvoConfig is built
     with pytest.raises(ValueError):
-        semantic_select([cand(1.0, [1])], cand(0.0, [0]), 5.0, 10.0, random.Random(0), fallback="x")
+        semantic_select([cand(1.0, [1])], cand(0.0, [0]), EvoConfig(fallback="x"), random.Random(0))
     with pytest.raises(ValueError):
-        semantic_select([], cand(0.0, [0]), 5.0, 10.0, random.Random(0))
+        semantic_select([], cand(0.0, [0]), EvoConfig(), random.Random(0))
 
 
 def test_selection_is_comma_only():
@@ -227,7 +230,7 @@ def test_selection_is_comma_only():
     brood = [cand(0.0, [0.0] * 4), cand(0.1, [0.0] * 4)]
     for i in range(100):
         assert plain_select(brood, random.Random(i)) in brood
-        assert semantic_select(brood, parent, 5.0, 10.0, random.Random(i)) in brood
+        assert semantic_select(brood, parent, EvoConfig(), random.Random(i)) in brood
 
 
 # ---------------------------------------------------------------------------
@@ -310,5 +313,5 @@ def test_semantic_miss_logged_at_debug(caplog):
     t1 = cand(1.0, [1.0] * 4)
     t2 = cand(1.0, [1.0] * 4)
     with caplog.at_level(logging.DEBUG, logger="evomcts.evo"):
-        semantic_select([t1, t2], parent, 5.0, 10.0, random.Random(0))
+        semantic_select([t1, t2], parent, EvoConfig(), random.Random(0))
     assert any("semantic window" in r.message for r in caplog.records)

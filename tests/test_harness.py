@@ -9,7 +9,7 @@ import pickle
 import pytest
 
 from evomcts.evo import EvoConfig, evolve_policy
-from evomcts.expr import parse_text
+from evomcts.expr import parse_text, ucb1_seed
 from evomcts.fop import FunctionId
 from evomcts.harness import (
     DEFAULT_AGENTS,
@@ -49,9 +49,9 @@ def tiny_config(tmp_path, **overrides):
 
 def test_parse_uct_agents():
     spec = parse_agent("uct:sqrt2")
-    assert spec == AgentSpec("uct", "uct:sqrt2", c=math.sqrt(2.0))
-    assert parse_agent("uct:0.5").c == 0.5
-    assert parse_agent("uct:3").c == 3.0
+    assert spec == AgentSpec("uct", "uct:sqrt2", policy=ucb1_seed(math.sqrt(2.0)))
+    assert parse_agent("uct:0.5").policy == ucb1_seed(0.5)
+    assert parse_agent("uct:3").policy == ucb1_seed(3.0)
 
 
 def test_parse_ea_agents():
@@ -345,6 +345,7 @@ def test_failed_batch_keeps_finished_runs(tmp_path, monkeypatch, jobs):
 
 def test_cli_defaults_match_the_full_grid():
     cfg = cli_parse([])
+    assert cfg == default_config()
     assert len(cfg.agents) == 9
     assert len(cfg.functions) == 5
     assert cfg.runs == 30 and cfg.base_seed == 0 and cfg.bins == 100

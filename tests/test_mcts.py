@@ -117,6 +117,20 @@ def test_kept_pdiv_scores_one_at_nc_one():
     assert set(map(id, picks)) == set(map(id, tree.root.children))
 
 
+@pytest.mark.parametrize("text", ["(pdiv (* Np Np) Nc)", "(+ Q (* Np Np))"])
+def test_int_counts_past_float_range_overflow(text):
+    # counts are ints and int products are exact, so Np * Np at Np = 10**200
+    # stays an int until a division or a float meets it
+    policy = parse_text(text)
+    with pytest.raises(OverflowError):
+        evaluate(policy, EvalContext(0.5, 10**200, 1))
+    tree = make_tree(policy)
+    graft_children(tree, tree.root, [(1, 0), (1, 1)])
+    tree.root.visits = 10**200
+    with pytest.raises(OverflowError):
+        select(tree, random.Random(0))
+
+
 # ---------------------------------------------------------------------------
 # expansion
 
