@@ -410,7 +410,8 @@ def compile_select(e: Expr, k: int) -> Callable:
     - constant subtrees are folded by calling _eval;
     - a protection is dropped only where the interval facts above prove it
       cannot fire, so e.g. UCB1 becomes q + c * sqrt(2 * log(np) / nc);
-    - the argmax draws rng.randrange once, and only on an exact tie.
+    - the argmax is a running comparison, with no list per level; it calls
+      pick_tied, which draws rng.randrange once, only on an exact tie.
     """
     facts: dict = {}
     known: dict = {}
@@ -438,6 +439,17 @@ def compile_select(e: Expr, k: int) -> Callable:
         if i == 0:
             body += hoisted
         body.append(f"s{i} = {score}")
+        # the leftmost maximum m and how many scores equal it: for scores
+        # that are never NaN, what max, count and index would give
+        if i == 0:
+            body.append("m, node, ties = s0, k0, 1")
+        else:
+            body += [
+                f"if s{i} > m:",
+                f"    m, node, ties = s{i}, k{i}, 1",
+                f"elif s{i} == m:",
+                "    ties += 1",
+            ]
     kids = "".join(f"k{i}, " for i in range(k))
     scores = ", ".join(f"s{i}" for i in range(k))
     lines = [
@@ -449,12 +461,8 @@ def compile_select(e: Expr, k: int) -> Callable:
         f"        {kids}= kids",
         "        np = node.visits",
         *("        " + line for line in body),
-        f"        vals = [{scores}]",
-        "        m = max(vals)",
-        "        if vals.count(m) == 1:",
-        "            node = kids[vals.index(m)]",
-        "        else:",
-        "            node = pick_tied(kids, vals, m, rng)",
+        "        if ties > 1:",
+        f"            node = pick_tied(kids, [{scores}], m, rng)",
         "        path.append(node)",
         "    return path",
     ]

@@ -74,7 +74,11 @@ def child_bounds(a: float, b: float, i: int, k: int):
 
 
 def children(s: FopState, cfg: FopConfig):
-    """The branching sub-intervals of s, ordered left to right."""
+    """The branching sub-intervals of s, ordered left to right.
+
+    The search builds only the child it expands (mcts.expand); this is the
+    oracle that child is checked against.
+    """
     if is_terminal(s, cfg):
         raise ValueError(f"terminal state [{s.a}, {s.b}] has no children")
     k = cfg.branching

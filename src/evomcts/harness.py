@@ -320,7 +320,10 @@ def cli_parse(argv: Sequence[str]) -> ExperimentConfig:
         functions = tuple(FunctionId(tok) for tok in _split(ns.functions))
     except ValueError as e:
         raise ConfigError(f"bad --functions: {e}") from None
-    agents = tuple(parse_agent(tok) for tok in _split(ns.agents)) if ns.agents else base.agents
+    # an empty --agents is an empty list, which the config rejects below
+    agents = base.agents
+    if ns.agents is not None:
+        agents = tuple(parse_agent(tok) for tok in _split(ns.agents))
     if ns.policy_expr is not None:
         try:
             policy = parse_text(ns.policy_expr)

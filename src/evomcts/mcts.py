@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, Tuple
 
-# compile_expr is not called here, but stays bound as mcts.compile_expr:
-# bench/tracing.py wraps that name
+# compile_expr and children are not called here (expand builds only the
+# chosen child), but stay bound as mcts.compile_expr and mcts.children:
+# bench/tracing.py wraps those names
 from .expr import Expr, compile_expr, compile_select, pick_tied  # noqa: F401
-from .fop import (
+from .fop import (  # noqa: F401
     ROOT,
     FopConfig,
     FopState,
@@ -46,10 +47,18 @@ class TreeNode:
 
 
 class SearchTree:
-    """Root node plus counters and the installed selection policy."""
+    """Root node plus counters and the installed selection policy.
+
+    nodes holds every node make_node has made, in birth order, and
+    terminal_nodes counts the terminal ones among them: a node counts once
+    make_node has made it, so the metrics read these instead of walking
+    the tree.
+    """
 
     def __init__(self, policy: Expr, cfg: FopConfig = FopConfig()):
         self.cfg = cfg
+        self.nodes: List[TreeNode] = []
+        self.terminal_nodes = 0
         self.root = self.make_node(ROOT)
         self.iterations_done = 0
         self.expansions_done = 0
@@ -62,8 +71,12 @@ class SearchTree:
         self._select = compile_select(e, self.cfg.branching)
 
     def make_node(self, state: FopState, born: int = 0) -> TreeNode:
-        n = 0 if is_terminal(state, self.cfg) else self.cfg.branching
-        return TreeNode(state, n, born)
+        """A new node for state, registered in nodes; the caller attaches it."""
+        terminal = is_terminal(state, self.cfg)
+        node = TreeNode(state, 0 if terminal else self.cfg.branching, born)
+        self.nodes.append(node)
+        self.terminal_nodes += terminal
+        return node
 
 
 def select(tree: SearchTree, rng) -> List[TreeNode]:
@@ -77,12 +90,18 @@ def select(tree: SearchTree, rng) -> List[TreeNode]:
 
 
 def expand(tree: SearchTree, node: TreeNode, rng) -> Optional[TreeNode]:
-    """Attach one new child under node, or None when node is terminal."""
+    """Attach one new child under node, or None when node is terminal.
+
+    Only the chosen child's state is built, with the float operations of
+    fop.children, which stays as the oracle of this step.
+    """
     acts = node.untried_actions
     if not acts:
         return None
     i = acts.pop(rng.randrange(len(acts)))
-    child = tree.make_node(children(node.state, tree.cfg)[i], tree.iterations_done + 1)
+    s = node.state
+    state = FopState(*child_bounds(s.a, s.b, i, tree.cfg.branching))
+    child = tree.make_node(state, tree.iterations_done + 1)
     node.children.append(child)
     tree.expansions_done += 1
     return child
@@ -159,7 +178,10 @@ def recommend_best_reward(tree: SearchTree, fid: FunctionId, rng) -> Tuple[float
 
 
 def iter_nodes(tree: SearchTree):
-    """Yield (node, depth below root) over the whole tree, preorder."""
+    """Yield (node, depth below root) over the whole tree, preorder.
+
+    A walk of the links, for dump_tree and as the reference for tree.nodes.
+    """
     stack = [(tree.root, 0)]
     while stack:
         node, d = stack.pop()

@@ -6,8 +6,8 @@ import statistics
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fop import center, is_terminal
-from .mcts import SearchTree, iter_nodes
+from .fop import center
+from .mcts import SearchTree
 
 STAGE_FRACTIONS = (1.0 / 3.0, 2.0 / 3.0, 1.0)
 STAGE_LABELS = (33, 66, 100)
@@ -31,8 +31,11 @@ def expansion_rate(tree: SearchTree) -> float:
 
 
 def terminal_states_reached(tree: SearchTree) -> int:
-    """Number of tree nodes whose interval is terminal."""
-    return sum(1 for node, _ in iter_nodes(tree) if is_terminal(node.state, tree.cfg))
+    """Number of tree nodes whose interval is terminal.
+
+    Counted as nodes are born: a node counts once make_node has made it.
+    """
+    return tree.terminal_nodes
 
 
 def histogram(tree: SearchTree, bins: int, at: Optional[int] = None) -> List[int]:
@@ -40,12 +43,13 @@ def histogram(tree: SearchTree, bins: int, at: Optional[int] = None) -> List[int
 
     Bin i covers [i/bins, (i+1)/bins), except the last which also takes 1.0.
     With at given, only nodes born by iteration at are counted: the tree as
-    it stood after that iteration.
+    it stood after that iteration. A node counts once make_node has made
+    it; the pass is over tree.nodes, not a walk of the tree.
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
     counts = [0] * bins
-    for node, _ in iter_nodes(tree):
+    for node in tree.nodes:
         if at is not None and node.born > at:
             continue
         i = int(center(node.state) * bins)

@@ -370,6 +370,11 @@ def test_cli_policy_expr_appends_to_explicit_agents():
     assert [a.label for a in cfg.agents] == ["uct:1", "expr"]
 
 
+def test_cli_policy_expr_with_empty_agents_runs_only_that_agent():
+    cfg = cli_parse(["--agents", "", "--policy-expr", "Q"])
+    assert [a.label for a in cfg.agents] == ["expr"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -383,6 +388,9 @@ def test_cli_policy_expr_appends_to_explicit_agents():
         ["--policy-expr", "(+ Q"],
         ["--no-such-flag"],
         ["--runs", "ten"],
+        # an empty agent list is no agent at all, not the default grid
+        ["--agents", ""],
+        ["--agents", ","],
     ],
 )
 def test_cli_rejections(argv):

@@ -1,5 +1,6 @@
-"""Differential oracles: pinned output bytes, stage snapshots rebuilt by a
-spy, and the generated selection step against evaluate().
+"""Differential oracles: pinned output bytes, the node registry against a
+walk of the tree, stage snapshots rebuilt by a spy, expand against
+children(), and the generated selection step against evaluate().
 
 A pin that changes is a behaviour change, not a test to update in passing.
 """
@@ -22,10 +23,10 @@ from evomcts.expr import (
     subtree_mutate,
     ucb1_seed,
 )
-from evomcts.fop import FopConfig, FunctionId, children
+from evomcts.fop import FopConfig, FunctionId, center, children, is_terminal
 from evomcts.harness import default_config, parse_agent, run_batch, run_one
-from evomcts.mcts import SearchTree, argmax, run_iterations
-from evomcts.metrics import histogram, stage_marks
+from evomcts.mcts import SearchTree, argmax, iter_nodes, run_iterations
+from evomcts.metrics import histogram, stage_marks, terminal_states_reached
 
 # sha256 of the four CSVs for a small grid at full budgets, base seed 0
 PINNED = {
@@ -53,16 +54,78 @@ def test_small_grid_digests_are_pinned(tmp_path, jobs):
     assert digests == PINNED
 
 
+# ---------------------------------------------------------------------------
+# the node registry against a walk of the tree
+
+def walked_histogram(tree, bins, at=None):
+    """histogram() by walking the tree's links from the root."""
+    counts = [0] * bins
+    for node, _ in iter_nodes(tree):
+        if at is None or node.born <= at:
+            counts[min(int(center(node.state) * bins), bins - 1)] += 1
+    return counts
+
+
+def walked_terminals(tree):
+    return sum(is_terminal(node.state, tree.cfg) for node, _ in iter_nodes(tree))
+
+
+def grown_trees():
+    """(tree, iterations) pairs: f1..f5 at c = sqrt2, and f5 at c = 0.5, where
+    the search reaches terminal intervals, for branching 2 and 3."""
+    rng = random.Random(11)
+    grown = []
+    for fid in FunctionId:
+        tree = SearchTree(ucb1_seed(CONST_POOL[2]))
+        run_iterations(tree, fid, 1000, rng)
+        grown.append((tree, 1000))
+    for k in (2, 3):
+        tree = SearchTree(ucb1_seed(0.5), FopConfig(branching=k))
+        run_iterations(tree, FunctionId.F5, 1000, rng)
+        grown.append((tree, 1000))
+    return grown
+
+
+def test_node_registry_matches_a_walk_of_the_tree():
+    terminals = 0
+    for tree, total in grown_trees():
+        walked = [node for node, _ in iter_nodes(tree)]
+        assert sorted(map(id, tree.nodes)) == sorted(map(id, walked))
+        for m in stage_marks(total):
+            assert histogram(tree, 100, m) == walked_histogram(tree, 100, m)
+        assert histogram(tree, 7) == walked_histogram(tree, 7)
+        assert terminal_states_reached(tree) == walked_terminals(tree)
+        terminals += terminal_states_reached(tree)
+    assert terminals > 0
+
+
+def test_expand_builds_the_child_children_would():
+    for tree, _ in grown_trees():
+        k = tree.cfg.branching
+        for node, _ in iter_nodes(tree):
+            if is_terminal(node.state, tree.cfg):
+                assert node.children == [] and node.untried_actions == []
+                continue
+            want = [(c.a.hex(), c.b.hex()) for c in children(node.state, tree.cfg)]
+            used = [want.index((kid.state.a.hex(), kid.state.b.hex())) for kid in node.children]
+            assert len(set(used)) == len(used)
+            assert sorted(used + node.untried_actions) == list(range(k))
+
+
+# ---------------------------------------------------------------------------
+# stage snapshots against a spy
+
 def spy_on_stages(monkeypatch, marks, bins):
     """Run every batch of iterations one at a time, snapshotting the whole
-    tree whenever the iteration count reaches a mark."""
+    tree by a walk whenever the iteration count reaches a mark."""
     snapshots = []
 
     def one_at_a_time(tree, fid, n, rng):
         rewards = []
         for _ in range(n):
             rewards += mcts.run_iterations(tree, fid, 1, rng)
-            snapshots.extend(histogram(tree, bins) for m in marks if m == tree.iterations_done)
+            done = tree.iterations_done
+            snapshots.extend(walked_histogram(tree, bins) for m in marks if m == done)
         return rewards
 
     monkeypatch.setattr(harness, "run_iterations", one_at_a_time)
@@ -111,6 +174,18 @@ def reference_select(tree, rng):
         node = argmax(node.children, score, rng)
         path.append(node)
     return path
+
+
+def partial_ties(tree, path):
+    """Levels of path where more than one child, but not all, tie at the top."""
+    n = 0
+    for node in path[:-1]:
+        scores = [
+            evaluate(tree.policy, EvalContext(k.total_reward / k.visits, node.visits, k.visits))
+            for k in node.children
+        ]
+        n += 1 < scores.count(max(scores)) < len(scores)
+    return n
 
 
 def outcome(select_fn, tree, seed):
@@ -181,6 +256,11 @@ def differential_trees():
     tree = SearchTree(ucb1_seed(CONST_POOL[2]), FopConfig(branching=3))
     run_iterations(tree, FunctionId.F3, 250, rng)
     trees.append(tree)
+    # four children: two or three of them can tie at the top, not only all
+    for fid in (FunctionId.F1, FunctionId.F4):
+        tree = SearchTree(ucb1_seed(CONST_POOL[2]), FopConfig(branching=4))
+        run_iterations(tree, fid, 250, rng)
+        trees.append(tree)
     # the last two near the top of the count domain, where floats overflow
     for scale in [1] * 6 + [10**296] * 2:
         tree = SearchTree(ucb1_seed(CONST_POOL[2]))
@@ -202,7 +282,7 @@ def differential_trees():
 
 def test_generated_select_matches_evaluate():
     trees = differential_trees()
-    checked = raised = tied = 0
+    checked = raised = tied = partial = 0
     for i, policy in enumerate(differential_policies()):
         for tree in trees:
             tree.set_policy(policy)
@@ -213,5 +293,8 @@ def test_generated_select_matches_evaluate():
                 checked += 1
                 raised += isinstance(got[0], type)
                 tied += got[1] != random.Random(seed).getstate()
-    # the comparison saw exceptions and tie draws, not only clean argmaxes
-    assert checked > 12_000 and raised > 0 and tied > 0
+                if tree.cfg.branching == 4 and not isinstance(got[0], type):
+                    partial += partial_ties(tree, got[0])
+    # the comparison saw exceptions and tie draws, not only clean argmaxes,
+    # and among four children ties of two or three at the top
+    assert checked > 12_000 and raised > 0 and tied > 0 and partial > 0
