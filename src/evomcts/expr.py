@@ -53,7 +53,9 @@ class Expr:
     """One node of an immutable policy expression tree.
 
     op is a function symbol from FUNCTIONS, a variable terminal
-    ("Q", "Np", "Nc"), or "const" with a numeric value.
+    ("Q", "Np", "Nc"), or "const" with a numeric value. A const value is
+    stored as a float: Expr("const", 2) is Expr("const", 2.0) in value as
+    well as in equality, hash and text, so equal trees evaluate alike.
     """
 
     op: str
@@ -69,8 +71,12 @@ class Expr:
         elif self.op == "const":
             if self.children:
                 raise ValueError("const is a leaf")
-            if self.value is None or not math.isfinite(self.value):
+            v = self.value
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"const needs a number, got {v!r}")
+            if not -MAX_FLOAT <= v <= MAX_FLOAT:  # exact for ints, false for nan
                 raise ValueError("const needs a finite value")
+            object.__setattr__(self, "value", float(v))
         elif self.op in ("Q", "Np", "Nc"):
             if self.children or self.value is not None:
                 raise ValueError(f"{self.op} is a bare leaf")
@@ -175,9 +181,9 @@ def pick_tied(items: Sequence, vals: Sequence, m, rng):
     """One of the items whose value equals the maximum m, uniformly at random.
 
     The tie rule of every argmax: one rng.randrange draw over the tied
-    items in order. The generated select calls it rather than inlining it,
-    since it only runs on a tie and compiling it into every select would
-    add about a tenth to the cost of compile_select.
+    items in order. When every item ties, that is rng.randrange(len(items))
+    over items itself, which the generated select draws inline; it calls
+    pick_tied only when some but not all of k > 2 children tie.
     """
     tied = [x for x, v in zip(items, vals) if v == m]
     return tied[rng.randrange(len(tied))]
@@ -224,11 +230,13 @@ def _emit(e: Expr, source=_leaf_source, guards=_all_guards) -> str:
     return "_fin" + s if overflow else s
 
 
-# Interval facts per node, over the domain of EvalContext: Q in [0, 1] and
-# visit counts in [1, MAX_FLOAT] (any count a float can hold). A fact is
-# (lo, hi, is_int, deps, helper_live, overflow_live): every value the node
-# takes at runtime lies in [lo, hi]; is_int says the value is a Python int
-# (sums and products of Np and Nc); deps is a bit set of the variables read.
+# Interval facts per node, over one of two domains: Q in [0, 1] and visit
+# counts in [1, MAX_FLOAT] (any count a float can hold, the domain of
+# EvalContext), or in [1, COUNT_BOUND] (every count a search tree reaches in
+# practice). A fact is (lo, hi, is_int, deps, helper_live, overflow_live):
+# every value the node takes at runtime lies in [lo, hi]; is_int says the
+# value is a Python int (sums and products of Np and Nc); deps is a bit set
+# of the variables read.
 #
 # IEEE + - * / and sqrt are correctly rounded, hence monotone, so endpoints
 # computed with the same float operations bound the runtime values with no
@@ -239,15 +247,24 @@ def _emit(e: Expr, source=_leaf_source, guards=_all_guards) -> str:
 # +-MAX_FLOAT; an endpoint of +-inf means "unbounded", never a value.
 _Q, _NP, _NC = 1, 2, 4
 _EXACT = 2.0 ** 53  # float sums and products of ints round beyond this
-_LEAF_FACTS = {
-    "Q": (0.0, 1.0, False, _Q, False, False),
-    "Np": (1.0, MAX_FLOAT, True, _NP, False, False),
-    "Nc": (1.0, MAX_FLOAT, True, _NC, False, False),
-}
+COUNT_BOUND = 2 ** 53  # a fixed constant: generated code never depends on a budget
 
 
-def _facts(e: Expr, facts: dict, known: dict) -> tuple:
-    """Fill facts[id(node)] for every node of e and return e's.
+def _leaf_facts(top: float) -> dict:
+    return {
+        "Q": (0.0, 1.0, False, _Q, False, False),
+        "Np": (1.0, top, True, _NP, False, False),
+        "Nc": (1.0, top, True, _NC, False, False),
+    }
+
+
+_GENERAL = _leaf_facts(MAX_FLOAT)
+_BOUNDED = _leaf_facts(float(COUNT_BOUND))
+
+
+def _facts(e: Expr, facts: dict, known: dict, leaves: dict) -> tuple:
+    """Fill facts[id(node)] for every node of e, with the variables' facts
+    taken from leaves, and return e's.
 
     A constant subtree is folded by the oracle _eval itself: known[id(node)]
     gets the source of its value.
@@ -255,10 +272,10 @@ def _facts(e: Expr, facts: dict, known: dict) -> tuple:
     op = e.op
     if op == "const":
         f = (e.value, e.value, False, 0, False, False)
-    elif op in _LEAF_FACTS:
-        f = _LEAF_FACTS[op]
+    elif op in leaves:
+        f = leaves[op]
     else:
-        kids = [_facts(c, facts, known) for c in e.children]
+        kids = [_facts(c, facts, known, leaves) for c in e.children]
         deps = 0
         for k in kids:
             deps |= k[3]
@@ -395,30 +412,17 @@ def _hoists(e: Expr, facts: dict, out: list):
             _hoists(c, facts, out)
 
 
-def compile_select(e: Expr, k: int) -> Callable:
-    """Generate the selection step of a search tree whose policy is e.
-
-    The result, select(root, rng), returns the path from root down to the
-    first node that still has untried actions or no children, choosing
-    among the k children of each node on the way by the argmax of e. It
-    reads nodes through their visits, total_reward, children and
-    untried_actions, and takes exactly the path, and the rng draws, of
-    argmax over evaluate(e, EvalContext(Q, Np, Nc)) (see tests/test_oracles.py):
-
-    - the k children are unpacked and e is written out once per child;
-    - subtrees that read only Np are computed once per level;
-    - constant subtrees are folded by calling _eval;
-    - a protection is dropped only where the interval facts above prove it
-      cannot fire, so e.g. UCB1 becomes q + c * sqrt(2 * log(np) / nc);
-    - the argmax is a running comparison, with no list per level; it calls
-      pick_tied, which draws rng.randrange once, only on an exact tie.
-    """
+def _level_body(e: Expr, k: int, leaves: dict) -> List[str]:
+    """Source lines scoring the k children k0.. of one level by e, with the
+    protections that the interval facts over leaves cannot rule out; they
+    leave m, node and ties: the leftmost maximum score, its child, and how
+    many scores equal it."""
     facts: dict = {}
-    known: dict = {}
-    _facts(e, facts, known)
+    names: dict = {}
+    _facts(e, facts, names, leaves)
 
     def source(n):
-        return known.get(id(n)) or _leaf_source(n)
+        return names.get(id(n)) or _leaf_source(n)
 
     def guards(n):
         return facts[id(n)][4:]
@@ -428,7 +432,7 @@ def compile_select(e: Expr, k: int) -> Callable:
     hoisted = []
     for i, h in enumerate(hoists):
         hoisted.append(f"h{i} = {_emit(h, source, guards)}")
-        known[id(h)] = f"h{i}"
+        names[id(h)] = f"h{i}"
     score = _emit(e, source, guards)
 
     body = []
@@ -439,8 +443,7 @@ def compile_select(e: Expr, k: int) -> Callable:
         if i == 0:
             body += hoisted
         body.append(f"s{i} = {score}")
-        # the leftmost maximum m and how many scores equal it: for scores
-        # that are never NaN, what max, count and index would give
+        # for scores that are never NaN, what max, count and index would give
         if i == 0:
             body.append("m, node, ties = s0, k0, 1")
         else:
@@ -450,25 +453,86 @@ def compile_select(e: Expr, k: int) -> Callable:
                 f"elif s{i} == m:",
                 "    ties += 1",
             ]
+    return body
+
+
+def _level_bodies(e: Expr, k: int) -> Tuple[List[str], List[str]]:
+    """(bounded, general): _level_body over counts in [1, COUNT_BOUND] and
+    over counts in [1, MAX_FLOAT]."""
+    return _level_body(e, k, _BOUNDED), _level_body(e, k, _GENERAL)
+
+
+def _select_loop(level: List[str], k: int, bounded: bool) -> Callable:
+    """select(path, rng): extend path from its last node down to the first
+    node with untried actions or no children, scoring the children of each
+    node on the way with the lines of level. A bounded loop hands path over
+    to general(path, rng) at the first level with a count past COUNT_BOUND,
+    before anything of that level is scored."""
     kids = "".join(f"k{i}, " for i in range(k))
     scores = ", ".join(f"s{i}" for i in range(k))
     lines = [
-        "def select(root, rng):",
-        "    node = root",
-        "    path = [node]",
+        "def select(path, rng):",
+        "    node = path[-1]",
         "    while not node.untried_actions and node.children:",
         "        kids = node.children",
         f"        {kids}= kids",
         "        np = node.visits",
-        *("        " + line for line in body),
-        "        if ties > 1:",
-        f"            node = pick_tied(kids, [{scores}], m, rng)",
-        "        path.append(node)",
-        "    return path",
     ]
+    if bounded:
+        past = " or ".join([f"np > {COUNT_BOUND}"]
+                           + [f"k{i}.visits > {COUNT_BOUND}" for i in range(k)])
+        lines += [f"        if {past}:", "            return general(path, rng)"]
+    lines += ["        " + line for line in level]
+    # a tie of all k children: the tied list of pick_tied is kids itself
+    lines += [f"        if ties == {k}:", f"            node = kids[rng.randrange({k})]"]
+    if k > 2:
+        lines += ["        elif ties > 1:", f"            node = pick_tied(kids, [{scores}], m, rng)"]
+    lines += ["        path.append(node)", "    return path"]
     ns = dict(_NAMESPACE)
     exec("\n".join(lines), ns)
     return ns["select"]
+
+
+def compile_select(e: Expr, k: int) -> Callable:
+    """Generate the selection step of a search tree whose policy is e.
+
+    The result, select(path, rng), extends path = [root] down to the first
+    node that still has untried actions or no children, choosing among the
+    k children of each node on the way by the argmax of e, and returns it.
+    It reads nodes through their visits, total_reward, children and
+    untried_actions, and takes exactly the path, and the rng draws, of
+    argmax over evaluate(e, EvalContext(Q, Np, Nc)) (see tests/test_oracles.py):
+
+    - the k children are unpacked and e is written out once per child;
+    - subtrees that read only Np are computed once per level;
+    - constant subtrees are folded by calling _eval;
+    - a protection is dropped only where the interval facts above prove it
+      cannot fire, so e.g. UCB1 becomes q + c * sqrt(2 * log(np) / nc);
+    - the facts are taken twice, for counts up to COUNT_BOUND and for any
+      count. When the two level bodies are the same, as for UCB1, there is
+      one loop and no test. When they differ, the loop runs the bounded
+      body, which keeps fewer overflow guards, while the parent and every
+      child have at most COUNT_BOUND visits; from the first level past
+      that, a second loop with the general body takes over. That loop is
+      generated on first use, since search trees never get there in
+      practice;
+    - the argmax is a running comparison, with no list per level. A tie of
+      all k children draws rng.randrange(k) on the spot; a tie of some of
+      them (k > 2 only) calls pick_tied. Either is one draw, and an argmax
+      without a tie draws nothing.
+    """
+    bounded, general_body = _level_bodies(e, k)
+    if bounded == general_body:
+        return _select_loop(general_body, k, bounded=False)
+    select = _select_loop(bounded, k, bounded=True)
+
+    def general(path, rng):
+        # the first call generates the general loop and binds it in its place
+        fn = select.__globals__["general"] = _select_loop(general_body, k, bounded=False)
+        return fn(path, rng)
+
+    select.__globals__["general"] = general
+    return select
 
 
 # ---------------------------------------------------------------------------

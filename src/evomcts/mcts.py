@@ -4,12 +4,14 @@ The statistics tree grows one node per iteration (select, expand, rollout,
 backpropagate). Child choice during selection is argmax of a pluggable
 policy expression evaluated on (Q child, N parent, N child); exact value
 ties are broken uniformly at random. Installing a policy generates the
-selection step for it (expr.compile_select), with evaluate() as its oracle.
+selection step for it (expr.compile_select), with evaluate() as its oracle;
+each tree generates each distinct policy once and keeps the result for as
+long as the tree lives.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 # compile_expr and children are not called here (expand builds only the
 # chosen child), but stay bound as mcts.compile_expr and mcts.children:
@@ -64,11 +66,17 @@ class SearchTree:
         self.expansions_done = 0
         self.policy: Expr = None
         self._select = None
+        self._selects: Dict[Expr, Callable] = {}
         self.set_policy(policy)
 
     def set_policy(self, e: Expr):
+        """Install e; its select is generated on the first install of a
+        policy equal to e on this tree, and reused after that."""
         self.policy = e
-        self._select = compile_select(e, self.cfg.branching)
+        select = self._selects.get(e)
+        if select is None:
+            select = self._selects[e] = compile_select(e, self.cfg.branching)
+        self._select = select
 
     def make_node(self, state: FopState, born: int = 0) -> TreeNode:
         """A new node for state, registered in nodes; the caller attaches it."""
@@ -86,7 +94,7 @@ def select(tree: SearchTree, rng) -> List[TreeNode]:
     the way has at least one visit, so the policy inputs are well defined.
     The step itself is generated for the installed policy by set_policy.
     """
-    return tree._select(tree.root, rng)
+    return tree._select([tree.root], rng)
 
 
 def expand(tree: SearchTree, node: TreeNode, rng) -> Optional[TreeNode]:

@@ -8,12 +8,14 @@ import pytest
 from evomcts.expr import (
     ARITY,
     CONST_POOL,
+    COUNT_BOUND,
     MAX_DEPTH,
     MAX_FLOAT,
     EvalContext,
     Expr,
     ExprParseError,
     _choose_point,
+    _level_bodies,
     compile_expr,
     compile_select,
     depth,
@@ -95,6 +97,22 @@ def test_context_requires_counts_at_least_one():
 def test_structural_equality():
     assert ucb1_seed(2.0) == ucb1_seed(2.0)
     assert ucb1_seed(2.0) != ucb1_seed(3.0)
+
+
+def test_const_values_are_floats():
+    two = Expr("const", 2)
+    assert type(two.value) is float
+    assert two == const(2.0) and hash(two) == hash(const(2.0)) and to_text(two) == "2"
+    # an int 2 would keep Np * 2 exact: at Np = 2**60 this tree would be 1
+    # with Expr("const", 2) and 0.0 with Expr("const", 2.0), though the two
+    # trees compare equal
+    np2 = binop("*", Expr("Np"), Expr("const", 2))
+    e = binop("-", binop("+", np2, Expr("Nc")), np2)
+    assert e == parse_text("(- (+ (* Np 2) Nc) (* Np 2))")
+    assert evaluate(e, EvalContext(0.0, 2**60, 1)) == 0.0
+    for bad in (True, False, "2", None, math.nan, -math.inf, 2**1024):
+        with pytest.raises(ValueError):
+            Expr("const", bad)
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +250,25 @@ PROTECTIONS = {"_fin", "_pdiv", "_plog", "_psqrt"}
 
 
 def kept_protections(e, k=2):
-    return PROTECTIONS & set(compile_select(e, k).__code__.co_names)
+    """The protections of each level body: (bounded, general)."""
+    return tuple(
+        PROTECTIONS & set(compile("\n".join(body), "<level>", "exec").co_names)
+        for body in _level_bodies(e, k)
+    )
+
+
+def has_bound_test(e, k=2):
+    code = compile_select(e, k).__code__
+    return COUNT_BOUND in code.co_consts and "general" in code.co_names
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_ucb1_select_is_guard_free(k):
     for c in CONST_POOL:
-        assert kept_protections(ucb1_seed(c), k) == set()
+        bounded, general = _level_bodies(ucb1_seed(c), k)
+        assert bounded == general
+        assert kept_protections(ucb1_seed(c), k) == (set(), set())
+        assert not has_bound_test(ucb1_seed(c), k)
 
 
 def product_of_np(d):
@@ -251,21 +281,28 @@ def product_of_np(d):
         ("(pdiv Q (- Nc 1))", "_pdiv"),  # Nc = 1 divides by zero
         ("(plog Q)", "_plog"),  # Q = 0
         ("(psqrt (- Q 1))", "_psqrt"),  # Q < 1 is negative
-        (product_of_np(MAX_DEPTH), "_fin"),  # Np ** 128 passes MAX_FLOAT
+        (product_of_np(MAX_DEPTH), "_fin"),  # Np ** 128 passes MAX_FLOAT, even for Np <= 2**53
     ],
 )
 def test_protections_that_can_fire_are_kept(text, guard):
-    assert guard in kept_protections(parse_text(text))
+    bounded, general = kept_protections(parse_text(text))
+    assert guard in bounded and guard in general
 
 
 def test_dead_protections_are_dropped():
     # log(Np) >= 0 and Nc >= 1: no divisor near zero, no log argument near
     # zero, no negative root, no overflow
-    assert kept_protections(parse_text("(pdiv (plog Np) Nc)")) == set()
-    assert kept_protections(parse_text("(plog (+ Q 1))")) == set()
-    assert kept_protections(parse_text("(psqrt (* Q 3))")) == set()
-    # counts reach MAX_FLOAT, so Nc + Q may overflow; its log cannot fire
-    assert kept_protections(parse_text("(plog (+ Nc Q))")) == {"_fin"}
+    assert kept_protections(parse_text("(pdiv (plog Np) Nc)")) == (set(), set())
+    assert kept_protections(parse_text("(plog (+ Q 1))")) == (set(), set())
+    assert kept_protections(parse_text("(psqrt (* Q 3))")) == (set(), set())
+
+
+def test_overflow_guard_dropped_only_for_bounded_counts():
+    # counts up to MAX_FLOAT let Nc + Q overflow, counts up to 2**53 do not;
+    # the log cannot fire either way
+    e = parse_text("(plog (+ Nc Q))")
+    assert kept_protections(e) == (set(), {"_fin"})
+    assert has_bound_test(e, 2) and has_bound_test(e, 3)
 
 
 # ---------------------------------------------------------------------------

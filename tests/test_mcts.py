@@ -387,3 +387,17 @@ def test_set_policy_swaps_behavior():
     assert select(tree, random.Random(0))[1] is tree.root.children[0]
     tree.set_policy(ucb1_seed(SQRT2))  # now the rare child wins
     assert select(tree, random.Random(0))[1] is tree.root.children[1]
+
+
+def test_set_policy_generates_each_policy_once_per_tree():
+    text = "(+ Q (psqrt (pdiv Np Nc)))"
+    tree = make_tree(parse_text(text))
+    first = tree._select
+    tree.set_policy(parse_text(text))  # equal to the installed policy, not the same object
+    assert tree._select is first
+    tree.set_policy(ucb1_seed(SQRT2))
+    assert tree._select is not first
+    tree.set_policy(parse_text(text))
+    assert tree._select is first and tree.policy == parse_text(text)
+    # another tree generates its own
+    assert make_tree(parse_text(text))._select is not first

@@ -15,8 +15,10 @@ from evomcts import evo, harness, mcts
 from evomcts.evo import EvoConfig, fitness_budget
 from evomcts.expr import (
     CONST_POOL,
+    COUNT_BOUND,
     MAX_DEPTH,
     EvalContext,
+    _level_bodies,
     evaluate,
     parse_text,
     random_subtree,
@@ -214,9 +216,30 @@ def build_stats_tree(tree, node, rng, depth_left, scale=1):
         build_stats_tree(tree, kid, rng, depth_left - 1, scale)
 
 
-def product_of_np(d):
-    """A full tree of * over Np leaves, of depth d."""
-    return "Np" if d == 1 else f"(* {product_of_np(d - 1)} {product_of_np(d - 1)})"
+def bound_tree(rng, root_visits, *levels, tie=False):
+    """A full binary tree: the root has root_visits, and the two nodes under
+    each node of depth d have the visits levels[d]. Q is uniform in [0, 1),
+    or 0.5 everywhere with tie, so that equal counts tie."""
+    tree = SearchTree(ucb1_seed(CONST_POOL[2]))
+    tree.root.visits = root_visits
+    frontier = [tree.root]
+    for visits in levels:
+        below = []
+        for node in frontier:
+            node.untried_actions = []
+            for state, v in zip(children(node.state, tree.cfg), visits):
+                kid = tree.make_node(state)
+                kid.visits = v
+                kid.total_reward = v / 2 if tie else rng.random() * v
+                node.children.append(kid)
+                below.append(kid)
+        frontier = below
+    return tree
+
+
+def product_of_np(d, leaf="Np"):
+    """A full tree of * of depth d over Np, or over another leaf tree."""
+    return leaf if d == 1 else f"(* {product_of_np(d - 1, leaf)} {product_of_np(d - 1, leaf)})"
 
 
 # protections that can fire, exact ties, and ints past the float range
@@ -230,6 +253,8 @@ EDGE_POLICIES = [
     product_of_np(MAX_DEPTH),
     f"(+ Q {product_of_np(MAX_DEPTH)})",
     f"(psqrt {product_of_np(MAX_DEPTH)})",
+    # float Np ** 32 overflows for counts past 2**32, inside the bounded body
+    f"(- {product_of_np(6, '(pdiv Np 1)')} {product_of_np(6, '(pdiv Np 1)')})",
 ]
 
 
@@ -268,6 +293,16 @@ def differential_trees():
         while not tree.root.children:
             build_stats_tree(tree, tree.root, rng, 6, scale)
         trees.append(tree)
+    # counts on both sides of COUNT_BOUND: a child past it under a parent at
+    # it, a parent past it, a level past it below one at it, and every count
+    # exactly at it, where every level ties
+    b = COUNT_BOUND
+    trees += [
+        bound_tree(rng, b, (b + 1, 3), (5, 7)),
+        bound_tree(rng, b + 1, (5, 7), (2, 3)),
+        bound_tree(rng, b, (b, b), (b + 1, 2)),
+        bound_tree(rng, b, (b, b), (b, b), tie=True),
+    ]
     # a child without visits: both sides raise ZeroDivisionError
     tree = SearchTree(ucb1_seed(CONST_POOL[2]))
     tree.root.visits = 1
@@ -280,10 +315,27 @@ def differential_trees():
     return trees
 
 
+def bodies_run(tree, got):
+    """The level bodies a select call ran: the bounded one down to the first
+    level with a count past COUNT_BOUND, the general one from there. A call
+    that raised ran at least the root's level."""
+    levels = [tree.root] if isinstance(got, type) else got[:-1]
+    run = set()
+    for node in levels:
+        counts = [node.visits] + [k.visits for k in node.children]
+        if "general" in run or max(counts) > COUNT_BOUND:
+            run.add("general")
+        else:
+            run.add("bounded")
+    return run
+
+
 def test_generated_select_matches_evaluate():
     trees = differential_trees()
-    checked = raised = tied = partial = 0
+    checked = raised = tied = partial = two_bodies = 0
     for i, policy in enumerate(differential_policies()):
+        bounded, general = _level_bodies(policy, 2)
+        run = set()
         for tree in trees:
             tree.set_policy(policy)
             for seed in (i, i + 10_000):
@@ -295,6 +347,12 @@ def test_generated_select_matches_evaluate():
                 tied += got[1] != random.Random(seed).getstate()
                 if tree.cfg.branching == 4 and not isinstance(got[0], type):
                     partial += partial_ties(tree, got[0])
+                run |= bodies_run(tree, got[0])
+        if bounded != general:
+            two_bodies += 1
+            assert run == {"bounded", "general"}, str(policy)
     # the comparison saw exceptions and tie draws, not only clean argmaxes,
-    # and among four children ties of two or three at the top
+    # among four children ties of two or three at the top, and policies
+    # whose bounded and general bodies differ
     assert checked > 12_000 and raised > 0 and tied > 0 and partial > 0
+    assert two_bodies > 100
