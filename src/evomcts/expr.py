@@ -150,17 +150,13 @@ def _eval(e: Expr, q, np, nc) -> float:
 
 
 def compile_expr(e: Expr) -> Callable[[float, float, float], float]:
-    """Compile e to a fast (q, n_parent, n_child) -> float callable.
-
-    Returns bit-identical values to evaluate(); every protection is kept.
-    """
-    ns = dict(_NAMESPACE)
-    exec(f"def _policy(q, np, nc):\n    return {_emit(e)}", ns)
-    return ns["_policy"]
+    """e as a (q, n_parent, n_child) -> float callable: _eval bound to e,
+    so evaluate() itself. Nothing in the package calls it."""
+    return lambda q, np, nc: _eval(e, q, np, nc)
 
 
 # ---------------------------------------------------------------------------
-# code generation: one emitter for compile_expr and compile_select
+# code generation: the selection step of one policy
 
 # A function node is its bare operation, unless a guard of it can fire. The
 # guard of pdiv, plog and psqrt is its helper (which saturates overflow
@@ -180,13 +176,23 @@ _VARIABLES = {"Q": "q", "Np": "np", "Nc": "nc"}
 def pick_tied(items: Sequence, vals: Sequence, m, rng):
     """One of the items whose value equals the maximum m, uniformly at random.
 
-    The tie rule of every argmax: one rng.randrange draw over the tied
+    The tie rule of every argmax here: one rng.randrange draw over the tied
     items in order. When every item ties, that is rng.randrange(len(items))
     over items itself, which the generated select draws inline; it calls
     pick_tied only when some but not all of k > 2 children tie.
     """
     tied = [x for x, v in zip(items, vals) if v == m]
     return tied[rng.randrange(len(tied))]
+
+
+def argmax(items: Sequence, key: Callable, rng):
+    """Item with the largest key, exact ties broken by pick_tied: rng is
+    drawn from only when more than one item ties."""
+    vals = [key(x) for x in items]
+    m = max(vals)
+    if vals.count(m) == 1:
+        return items[vals.index(m)]
+    return pick_tied(items, vals, m, rng)
 
 
 _NAMESPACE = {
@@ -206,11 +212,7 @@ def _leaf_source(e: Expr) -> Optional[str]:
     return _VARIABLES.get(e.op)
 
 
-def _all_guards(e: Expr) -> Tuple[bool, bool]:
-    return e.op in _HELPER, True
-
-
-def _emit(e: Expr, source=_leaf_source, guards=_all_guards) -> str:
+def _emit(e: Expr, source, guards) -> str:
     """Python source computing e.
 
     source(node) is the source of a node that needs no operation (a leaf, a
@@ -236,7 +238,7 @@ def _emit(e: Expr, source=_leaf_source, guards=_all_guards) -> str:
 # practice). A fact is (lo, hi, is_int, deps, helper_live, overflow_live):
 # every value the node takes at runtime lies in [lo, hi]; is_int says the
 # value is a Python int (sums and products of Np and Nc); deps is a bit set
-# of the variables read.
+# of the variables read; the two flags say which guards _emit must write.
 #
 # IEEE + - * / and sqrt are correctly rounded, hence monotone, so endpoints
 # computed with the same float operations bound the runtime values with no
@@ -349,7 +351,8 @@ def _pdiv_rule(a, b):
         lo, hi = _saturated(lo, hi)
     if helper:
         lo, hi = min(lo, 1.0), max(hi, 1.0)
-    return lo, hi, False, helper, overflow
+    # a live _pdiv saturates by itself: _fin is needed only without it
+    return lo, hi, False, helper, overflow and not helper
 
 
 def _magnitude(lo: float, hi: float) -> Tuple[float, float]:
@@ -412,14 +415,38 @@ def _hoists(e: Expr, facts: dict, out: list):
             _hoists(c, facts, out)
 
 
-def _level_body(e: Expr, k: int, leaves: dict) -> List[str]:
-    """Source lines scoring the k children k0.. of one level by e, with the
-    protections that the interval facts over leaves cannot rule out; they
-    leave m, node and ties: the leftmost maximum score, its child, and how
-    many scores equal it."""
+def compile_select(e: Expr, k: int) -> Callable:
+    """Generate the selection step of a search tree whose policy is e.
+
+    The result, select(path, rng), extends path = [root] down to the first
+    node that still has untried actions or no children, choosing among the
+    k children of each node on the way by the argmax of e, and returns it.
+    It reads nodes through their visits, total_reward, children and
+    untried_actions, and takes exactly the path, and the rng draws, of
+    argmax over evaluate(e, EvalContext(Q, Np, Nc)) (see tests/test_oracles.py):
+
+    - the k children are unpacked and e is written out once per child;
+    - subtrees that read only Np are computed once per level;
+    - constant subtrees are folded by calling _eval;
+    - a protection is dropped only where the interval facts above, over
+      counts up to COUNT_BOUND, prove it cannot fire, so e.g. UCB1 becomes
+      q + c * sqrt(2 * log(np) / nc);
+    - the facts are also taken over any count. Where some guard differs
+      between the two, the loop tests the parent and every child against
+      COUNT_BOUND, and from the first level past it hands path to the
+      interpreter: argmax over _eval, level by level. Search trees never
+      get there in practice. Where no guard differs, as for UCB1, there is
+      no test;
+    - the argmax is a running comparison, with no list per level. A tie of
+      all k children draws rng.randrange(k) on the spot; a tie of some of
+      them (k > 2 only) calls pick_tied. Either is one draw, and an argmax
+      without a tie draws nothing.
+    """
     facts: dict = {}
     names: dict = {}
-    _facts(e, facts, names, leaves)
+    _facts(e, facts, names, _BOUNDED)
+    general: dict = {}
+    _facts(e, general, {}, _GENERAL)
 
     def source(n):
         return names.get(id(n)) or _leaf_source(n)
@@ -435,6 +462,18 @@ def _level_body(e: Expr, k: int, leaves: dict) -> List[str]:
         names[id(h)] = f"h{i}"
     score = _emit(e, source, guards)
 
+    lines = [
+        "def select(path, rng):",
+        "    node = path[-1]",
+        "    while not node.untried_actions and node.children:",
+        "        kids = node.children",
+        "        " + "".join(f"k{i}, " for i in range(k)) + "= kids",
+        "        np = node.visits",
+    ]
+    if any(facts[n][4:] != general[n][4:] for n in facts):
+        past = " or ".join([f"np > {COUNT_BOUND}"]
+                           + [f"k{i}.visits > {COUNT_BOUND}" for i in range(k)])
+        lines += [f"        if {past}:", "            return interpret(path, rng)"]
     body = []
     for i in range(k):
         # q first: a child without visits raises ZeroDivisionError before
@@ -443,7 +482,9 @@ def _level_body(e: Expr, k: int, leaves: dict) -> List[str]:
         if i == 0:
             body += hoisted
         body.append(f"s{i} = {score}")
-        # for scores that are never NaN, what max, count and index would give
+        # m, node and ties: the leftmost maximum score, its child, and how
+        # many scores equal it, which for scores that are never NaN is what
+        # max, index and count would give
         if i == 0:
             body.append("m, node, ties = s0, k0, 1")
         else:
@@ -453,86 +494,26 @@ def _level_body(e: Expr, k: int, leaves: dict) -> List[str]:
                 f"elif s{i} == m:",
                 "    ties += 1",
             ]
-    return body
-
-
-def _level_bodies(e: Expr, k: int) -> Tuple[List[str], List[str]]:
-    """(bounded, general): _level_body over counts in [1, COUNT_BOUND] and
-    over counts in [1, MAX_FLOAT]."""
-    return _level_body(e, k, _BOUNDED), _level_body(e, k, _GENERAL)
-
-
-def _select_loop(level: List[str], k: int, bounded: bool) -> Callable:
-    """select(path, rng): extend path from its last node down to the first
-    node with untried actions or no children, scoring the children of each
-    node on the way with the lines of level. A bounded loop hands path over
-    to general(path, rng) at the first level with a count past COUNT_BOUND,
-    before anything of that level is scored."""
-    kids = "".join(f"k{i}, " for i in range(k))
-    scores = ", ".join(f"s{i}" for i in range(k))
-    lines = [
-        "def select(path, rng):",
-        "    node = path[-1]",
-        "    while not node.untried_actions and node.children:",
-        "        kids = node.children",
-        f"        {kids}= kids",
-        "        np = node.visits",
-    ]
-    if bounded:
-        past = " or ".join([f"np > {COUNT_BOUND}"]
-                           + [f"k{i}.visits > {COUNT_BOUND}" for i in range(k)])
-        lines += [f"        if {past}:", "            return general(path, rng)"]
-    lines += ["        " + line for line in level]
+    lines += ["        " + line for line in body]
     # a tie of all k children: the tied list of pick_tied is kids itself
     lines += [f"        if ties == {k}:", f"            node = kids[rng.randrange({k})]"]
     if k > 2:
+        scores = ", ".join(f"s{i}" for i in range(k))
         lines += ["        elif ties > 1:", f"            node = pick_tied(kids, [{scores}], m, rng)"]
     lines += ["        path.append(node)", "    return path"]
-    ns = dict(_NAMESPACE)
+
+    def interpret(path, rng):
+        node = path[-1]
+        while not node.untried_actions and node.children:
+            np = node.visits
+            node = argmax(node.children,
+                          lambda c: _eval(e, c.total_reward / c.visits, np, c.visits), rng)
+            path.append(node)
+        return path
+
+    ns = dict(_NAMESPACE, interpret=interpret)
     exec("\n".join(lines), ns)
     return ns["select"]
-
-
-def compile_select(e: Expr, k: int) -> Callable:
-    """Generate the selection step of a search tree whose policy is e.
-
-    The result, select(path, rng), extends path = [root] down to the first
-    node that still has untried actions or no children, choosing among the
-    k children of each node on the way by the argmax of e, and returns it.
-    It reads nodes through their visits, total_reward, children and
-    untried_actions, and takes exactly the path, and the rng draws, of
-    argmax over evaluate(e, EvalContext(Q, Np, Nc)) (see tests/test_oracles.py):
-
-    - the k children are unpacked and e is written out once per child;
-    - subtrees that read only Np are computed once per level;
-    - constant subtrees are folded by calling _eval;
-    - a protection is dropped only where the interval facts above prove it
-      cannot fire, so e.g. UCB1 becomes q + c * sqrt(2 * log(np) / nc);
-    - the facts are taken twice, for counts up to COUNT_BOUND and for any
-      count. When the two level bodies are the same, as for UCB1, there is
-      one loop and no test. When they differ, the loop runs the bounded
-      body, which keeps fewer overflow guards, while the parent and every
-      child have at most COUNT_BOUND visits; from the first level past
-      that, a second loop with the general body takes over. That loop is
-      generated on first use, since search trees never get there in
-      practice;
-    - the argmax is a running comparison, with no list per level. A tie of
-      all k children draws rng.randrange(k) on the spot; a tie of some of
-      them (k > 2 only) calls pick_tied. Either is one draw, and an argmax
-      without a tie draws nothing.
-    """
-    bounded, general_body = _level_bodies(e, k)
-    if bounded == general_body:
-        return _select_loop(general_body, k, bounded=False)
-    select = _select_loop(bounded, k, bounded=True)
-
-    def general(path, rng):
-        # the first call generates the general loop and binds it in its place
-        fn = select.__globals__["general"] = _select_loop(general_body, k, bounded=False)
-        return fn(path, rng)
-
-    select.__globals__["general"] = general
-    return select
 
 
 # ---------------------------------------------------------------------------
@@ -647,8 +628,10 @@ def to_text(e: Expr) -> str:
 
 
 def parse_text(text: str) -> Expr:
+    """The tree of text, which may be at most MAX_DEPTH deep, as evolved
+    trees are; ExprParseError otherwise."""
     toks = _tokenize(text)
-    e, i = _parse(toks, 0, len(text))
+    e, i = _parse(toks, 0, len(text), 1)
     if i != len(toks):
         raise ExprParseError(f"unexpected {toks[i][0]!r} after expression", toks[i][1])
     return e
@@ -673,12 +656,15 @@ def _tokenize(text: str) -> List[Tuple[str, int]]:
     return toks
 
 
-def _parse(toks, i, end) -> Tuple[Expr, int]:
+def _parse(toks, i, end, d) -> Tuple[Expr, int]:
+    """The node at toks[i], at depth d, and the index past it."""
     if i >= len(toks):
         raise ExprParseError("unexpected end of input", end)
     tok, pos = toks[i]
     if tok == ")":
         raise ExprParseError("unexpected ')'", pos)
+    if d > MAX_DEPTH:
+        raise ExprParseError(f"tree deeper than {MAX_DEPTH} levels", pos)
     if tok != "(":
         return _parse_atom(tok, pos), i + 1
     if i + 1 >= len(toks):
@@ -689,7 +675,7 @@ def _parse(toks, i, end) -> Tuple[Expr, int]:
     i += 2
     kids = []
     for _ in range(ARITY[op]):
-        child, i = _parse(toks, i, end)
+        child, i = _parse(toks, i, end, d + 1)
         kids.append(child)
     if i >= len(toks):
         raise ExprParseError("missing ')'", end)

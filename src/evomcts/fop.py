@@ -150,11 +150,6 @@ def bernoulli(p: float, rng) -> int:
     return 1 if rng.random() < p else 0
 
 
-def sample_reward(fid: FunctionId, s: FopState, rng) -> int:
-    """0/1 reward for stopping in s: success with probability f(center)."""
-    return bernoulli(f_eval(fid, center(s)), rng)
-
-
 def global_optimum(fid: FunctionId, resolution: float = 1e-6):
     """(argmax, max) of the landscape by grid scan plus local refinement.
 

@@ -11,12 +11,12 @@ long as the tree lives.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 # compile_expr and children are not called here (expand builds only the
 # chosen child), but stay bound as mcts.compile_expr and mcts.children:
 # bench/tracing.py wraps those names
-from .expr import Expr, compile_expr, compile_select, pick_tied  # noqa: F401
+from .expr import Expr, argmax, compile_expr, compile_select  # noqa: F401
 from .fop import (  # noqa: F401
     ROOT,
     FopConfig,
@@ -144,19 +144,6 @@ def run_iterations(tree: SearchTree, fid: FunctionId, n: int, rng) -> List[int]:
         tree.iterations_done += 1
         rewards.append(r)
     return rewards
-
-
-def argmax(items: Sequence, key: Callable, rng):
-    """Item with the largest key, exact ties broken uniformly at random.
-
-    rng is drawn from only when more than one item ties, so a unique
-    maximum leaves the stream untouched.
-    """
-    vals = [key(x) for x in items]
-    m = max(vals)
-    if vals.count(m) == 1:
-        return items[vals.index(m)]
-    return pick_tied(items, vals, m, rng)
 
 
 def _descend(node: TreeNode, key, rng) -> TreeNode:

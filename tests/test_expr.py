@@ -15,7 +15,6 @@ from evomcts.expr import (
     Expr,
     ExprParseError,
     _choose_point,
-    _level_bodies,
     compile_expr,
     compile_select,
     depth,
@@ -250,24 +249,19 @@ PROTECTIONS = {"_fin", "_pdiv", "_plog", "_psqrt"}
 
 
 def kept_protections(e, k=2):
-    """The protections of each level body: (bounded, general)."""
-    return tuple(
-        PROTECTIONS & set(compile("\n".join(body), "<level>", "exec").co_names)
-        for body in _level_bodies(e, k)
-    )
+    """The protections the generated select calls."""
+    return PROTECTIONS & set(compile_select(e, k).__code__.co_names)
 
 
 def has_bound_test(e, k=2):
     code = compile_select(e, k).__code__
-    return COUNT_BOUND in code.co_consts and "general" in code.co_names
+    return COUNT_BOUND in code.co_consts and "interpret" in code.co_names
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_ucb1_select_is_guard_free(k):
     for c in CONST_POOL:
-        bounded, general = _level_bodies(ucb1_seed(c), k)
-        assert bounded == general
-        assert kept_protections(ucb1_seed(c), k) == (set(), set())
+        assert kept_protections(ucb1_seed(c), k) == set()
         assert not has_bound_test(ucb1_seed(c), k)
 
 
@@ -285,24 +279,33 @@ def product_of_np(d):
     ],
 )
 def test_protections_that_can_fire_are_kept(text, guard):
-    bounded, general = kept_protections(parse_text(text))
-    assert guard in bounded and guard in general
+    assert guard in kept_protections(parse_text(text))
 
 
 def test_dead_protections_are_dropped():
     # log(Np) >= 0 and Nc >= 1: no divisor near zero, no log argument near
     # zero, no negative root, no overflow
-    assert kept_protections(parse_text("(pdiv (plog Np) Nc)")) == (set(), set())
-    assert kept_protections(parse_text("(plog (+ Q 1))")) == (set(), set())
-    assert kept_protections(parse_text("(psqrt (* Q 3))")) == (set(), set())
+    assert kept_protections(parse_text("(pdiv (plog Np) Nc)")) == set()
+    assert kept_protections(parse_text("(plog (+ Q 1))")) == set()
+    assert kept_protections(parse_text("(psqrt (* Q 3))")) == set()
 
 
 def test_overflow_guard_dropped_only_for_bounded_counts():
-    # counts up to MAX_FLOAT let Nc + Q overflow, counts up to 2**53 do not;
+    # counts up to MAX_FLOAT let Nc + Q overflow, counts up to 2**53 do not,
+    # so the select drops _fin and hands larger counts to the interpreter;
     # the log cannot fire either way
     e = parse_text("(plog (+ Nc Q))")
-    assert kept_protections(e) == (set(), {"_fin"})
+    assert kept_protections(e) == set()
     assert has_bound_test(e, 2) and has_bound_test(e, 3)
+
+
+def test_live_pdiv_needs_no_overflow_guard():
+    # _pdiv saturates by itself, so a divisor that can be 0 leaves no
+    # guard for the bound test to drop: Np / (Q - 0.5) overflows only for
+    # counts past 2**53, yet the select has no bound test
+    e = parse_text("(pdiv Np (- Q 0.5))")
+    assert kept_protections(e) == {"_pdiv"}
+    assert not has_bound_test(e)
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +468,20 @@ def test_parse_errors_carry_positions(text, pos):
         parse_text(text)
     assert err.value.pos == pos
     assert f"(at position {pos})" in str(err.value)
+
+
+def chain(d):
+    """Text of a depth-d tree: d - 1 psqrt around Q."""
+    return "(psqrt " * (d - 1) + "Q" + ")" * (d - 1)
+
+
+@pytest.mark.parametrize("d", [MAX_DEPTH + 1, 250, 1200])
+def test_parse_refuses_trees_deeper_than_max_depth(d):
+    assert depth(parse_text(chain(MAX_DEPTH))) == MAX_DEPTH
+    with pytest.raises(ExprParseError) as err:
+        parse_text(chain(d))
+    # the first node below MAX_DEPTH, seven characters per level in
+    assert err.value.pos == 7 * MAX_DEPTH
 
 
 def test_parse_accepts_plain_numbers():

@@ -19,8 +19,8 @@ from evomcts.fop import (
     f_eval,
     global_optimum,
     is_terminal,
-    sample_reward,
 )
+from evomcts.mcts import rollout
 
 CFG = FopConfig()
 
@@ -209,21 +209,29 @@ def test_bernoulli_endpoints():
     assert all(bernoulli(0.0, rng) == 0 for _ in range(200))
 
 
+# A rollout from a state that is already terminal descends no level and
+# draws only the reward: the reward rule of the search itself.
+
 def test_sample_reward_matches_center_probability():
     # center sits where sin(27x) = 0, so f2 there is 0.5 up to float dust
     c = math.pi / 27.0
     s = FopState(c - 0.01, c + 0.01)
+    cfg = FopConfig(threshold=0.05)
+    assert is_terminal(s, cfg)
     assert abs(f_eval(FunctionId.F2, center(s)) - 0.5) < 1e-9
     rng = random.Random(35)
     n = 100_000
-    mean = sum(sample_reward(FunctionId.F2, s, rng) for _ in range(n)) / n
+    mean = sum(rollout(FunctionId.F2, s, rng, cfg) for _ in range(n)) / n
     assert 0.494 <= mean <= 0.506
 
 
 def test_reward_is_binary():
+    s = FopState(0.4, 0.6)  # centered on 0.5, as the root is
+    cfg = FopConfig(threshold=0.5)
+    assert is_terminal(s, cfg)
     rng = random.Random(36)
     for _ in range(100):
-        assert sample_reward(FunctionId.F3, ROOT, rng) in (0, 1)
+        assert rollout(FunctionId.F3, s, rng, cfg) in (0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -410,6 +410,16 @@ def test_main_config_error_exit_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d", [250, 1200])
+def test_main_refuses_policy_expr_deeper_than_evolution_grows(tmp_path, capsys, d):
+    deep = "(psqrt " * (d - 1) + "Q" + ")" * (d - 1)
+    out = tmp_path / "out"
+    assert main(["--policy-expr", deep, "--functions", "f1", "--runs", "1",
+                 "--out", str(out)]) == 1
+    assert "bad --policy-expr" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_alpha_beta_reach_the_echo(tmp_path):
     out = tmp_path / "out"
     assert main(["--agents", "uct:1", "--functions", "f1", "--runs", "1",

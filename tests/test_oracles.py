@@ -11,14 +11,14 @@ import random
 
 import pytest
 
-from evomcts import evo, harness, mcts
+from evomcts import evo, expr, harness, mcts
 from evomcts.evo import EvoConfig, fitness_budget
 from evomcts.expr import (
     CONST_POOL,
     COUNT_BOUND,
     MAX_DEPTH,
     EvalContext,
-    _level_bodies,
+    Expr,
     evaluate,
     parse_text,
     random_subtree,
@@ -242,25 +242,28 @@ def product_of_np(d, leaf="Np"):
     return leaf if d == 1 else f"(* {product_of_np(d - 1, leaf)} {product_of_np(d - 1, leaf)})"
 
 
+NP_POWER = parse_text(product_of_np(MAX_DEPTH))  # Np ** 128
+
 # protections that can fire, exact ties, and ints past the float range
 EDGE_POLICIES = [
-    "(pdiv Q (- Nc 1))",
-    "(plog Q)",
-    "(psqrt (- Q 1))",
-    "(pdiv Np (plog Np))",
-    "(- Np Np)",
-    "(* Nc (pdiv 2 3))",
-    product_of_np(MAX_DEPTH),
-    f"(+ Q {product_of_np(MAX_DEPTH)})",
-    f"(psqrt {product_of_np(MAX_DEPTH)})",
-    # float Np ** 32 overflows for counts past 2**32, inside the bounded body
-    f"(- {product_of_np(6, '(pdiv Np 1)')} {product_of_np(6, '(pdiv Np 1)')})",
+    parse_text("(pdiv Q (- Nc 1))"),
+    parse_text("(plog Q)"),
+    parse_text("(psqrt (- Q 1))"),
+    parse_text("(pdiv Np (plog Np))"),
+    parse_text("(- Np Np)"),
+    parse_text("(* Nc (pdiv 2 3))"),
+    NP_POWER,
+    # these two are a level deeper than parse_text takes
+    Expr("+", children=(Expr("Q"), NP_POWER)),
+    Expr("psqrt", children=(NP_POWER,)),
+    # float Np ** 32 overflows for counts past 2**32, below COUNT_BOUND
+    parse_text(f"(- {product_of_np(6, '(pdiv Np 1)')} {product_of_np(6, '(pdiv Np 1)')})"),
 ]
 
 
 def differential_policies():
     rng = random.Random(2024)
-    policies = [parse_text(t) for t in EDGE_POLICIES]
+    policies = list(EDGE_POLICIES)
     policies += [random_subtree(MAX_DEPTH, rng) for _ in range(300)]
     for c in CONST_POOL:
         e = ucb1_seed(c)
@@ -295,13 +298,14 @@ def differential_trees():
         trees.append(tree)
     # counts on both sides of COUNT_BOUND: a child past it under a parent at
     # it, a parent past it, a level past it below one at it, and every count
-    # exactly at it, where every level ties
+    # exactly at it and just past it, where every level ties
     b = COUNT_BOUND
     trees += [
         bound_tree(rng, b, (b + 1, 3), (5, 7)),
         bound_tree(rng, b + 1, (5, 7), (2, 3)),
         bound_tree(rng, b, (b, b), (b + 1, 2)),
         bound_tree(rng, b, (b, b), (b, b), tie=True),
+        bound_tree(rng, b + 1, (b + 1, b + 1), (b + 1, b + 1), tie=True),
     ]
     # a child without visits: both sides raise ZeroDivisionError
     tree = SearchTree(ucb1_seed(CONST_POOL[2]))
@@ -315,44 +319,89 @@ def differential_trees():
     return trees
 
 
-def bodies_run(tree, got):
-    """The level bodies a select call ran: the bounded one down to the first
-    level with a count past COUNT_BOUND, the general one from there. A call
-    that raised ran at least the root's level."""
-    levels = [tree.root] if isinstance(got, type) else got[:-1]
-    run = set()
-    for node in levels:
-        counts = [node.visits] + [k.visits for k in node.children]
-        if "general" in run or max(counts) > COUNT_BOUND:
-            run.add("general")
-        else:
-            run.add("bounded")
-    return run
+def past_bound(levels):
+    """Whether the parent or a child of some node in levels has more than
+    COUNT_BOUND visits."""
+    return any(max([n.visits] + [k.visits for k in n.children]) > COUNT_BOUND for n in levels)
 
 
-def test_generated_select_matches_evaluate():
+def test_generated_select_matches_evaluate(monkeypatch):
     trees = differential_trees()
-    checked = raised = tied = partial = two_bodies = 0
+    interpreted = [0]
+    real_eval = expr._eval
+
+    def counting_eval(*args):
+        interpreted[0] += 1
+        return real_eval(*args)
+
+    def generated_select(tree, rng):
+        # set_policy has generated the select, so only the interpreter that
+        # takes over past COUNT_BOUND calls _eval
+        with monkeypatch.context() as m:
+            m.setattr(expr, "_eval", counting_eval)
+            return mcts.select(tree, rng)
+
+    checked = raised = tied = partial = bound_tests = 0
     for i, policy in enumerate(differential_policies()):
-        bounded, general = _level_bodies(policy, 2)
-        run = set()
+        ran, tested = set(), False
         for tree in trees:
             tree.set_policy(policy)
+            bound_test = COUNT_BOUND in tree._select.__code__.co_consts
+            tested |= bound_test
             for seed in (i, i + 10_000):
                 want = outcome(reference_select, tree, seed)
-                got = outcome(mcts.select, tree, seed)
+                interpreted[0] = 0
+                got = outcome(generated_select, tree, seed)
                 assert got == want, (str(policy), tree.cfg, seed)
                 checked += 1
                 raised += isinstance(got[0], type)
                 tied += got[1] != random.Random(seed).getstate()
                 if tree.cfg.branching == 4 and not isinstance(got[0], type):
                     partial += partial_ties(tree, got[0])
-                run |= bodies_run(tree, got[0])
-        if bounded != general:
-            two_bodies += 1
-            assert run == {"bounded", "general"}, str(policy)
+                # the interpreter runs from the first level past the bound,
+                # and only with a bound test; a call that raised ran at
+                # least the root's level
+                if isinstance(got[0], type):
+                    expected = bound_test and past_bound([tree.root])
+                    assert expected <= bool(interpreted[0]) <= bound_test, str(policy)
+                else:
+                    expected = bound_test and past_bound(got[0][:-1])
+                    assert bool(interpreted[0]) == expected, (str(policy), tree.cfg, seed)
+                if interpreted[0]:
+                    ran.add("interpreter")
+                if not past_bound([tree.root]):
+                    ran.add("generated")
+        if tested:
+            bound_tests += 1
+            assert ran == {"generated", "interpreter"}, str(policy)
     # the comparison saw exceptions and tie draws, not only clean argmaxes,
     # among four children ties of two or three at the top, and policies
-    # whose bounded and general bodies differ
+    # whose select hands over to the interpreter
     assert checked > 12_000 and raised > 0 and tied > 0 and partial > 0
-    assert two_bodies > 100
+    assert bound_tests > 100
+
+
+def test_interpreter_takes_over_past_the_bound(monkeypatch):
+    # Nc + Q overflows only for counts past 2**53: the select has a bound test
+    policy = parse_text("(plog (+ Nc Q))")
+    b = COUNT_BOUND
+    rng = random.Random(3)
+    at = bound_tree(rng, b, (b, b), (b, b), (b, b), tie=True)
+    past = bound_tree(rng, b, (b, b), (b + 1, 2), (3, 5))
+    for tree in at, past:
+        tree.set_policy(policy)
+        assert COUNT_BOUND in tree._select.__code__.co_consts
+    scored = []
+    real_eval = expr._eval
+
+    def counting_eval(e, q, np, nc):
+        scored.append(nc)
+        return real_eval(e, q, np, nc)
+
+    monkeypatch.setattr(expr, "_eval", counting_eval)
+    assert len(mcts.select(at, random.Random(0))) == 4
+    assert scored == []
+    # the second level has a child past the bound under a parent at it: the
+    # interpreter scores it and the third level, and nothing of the first
+    assert len(mcts.select(past, random.Random(0))) == 4
+    assert set(scored) == {b + 1, 2, 3, 5}
