@@ -111,6 +111,11 @@ def _pdiv(a: float, b: float) -> float:
     return 1.0 if -PROTECT_EPS < b < PROTECT_EPS else _fin(a / b)
 
 
+def _pdiv_bare(a: float, b: float) -> float:
+    # _pdiv where the quotient is known to be finite
+    return 1.0 if -PROTECT_EPS < b < PROTECT_EPS else a / b
+
+
 def _plog(a: float) -> float:
     return 1.0 if -PROTECT_EPS < a < PROTECT_EPS else math.log(abs(a))
 
@@ -178,8 +183,9 @@ def pick_tied(items: Sequence, vals: Sequence, m, rng):
 
     The tie rule of every argmax here: one rng.randrange draw over the tied
     items in order. When every item ties, that is rng.randrange(len(items))
-    over items itself, which the generated select draws inline; it calls
-    pick_tied only when some but not all of k > 2 children tie.
+    over items itself, which the generated select draws inline, straight
+    from getrandbits; it calls pick_tied only when some but not all of
+    k > 2 children tie.
     """
     tied = [x for x, v in zip(items, vals) if v == m]
     return tied[rng.randrange(len(tied))]
@@ -437,9 +443,13 @@ def compile_select(e: Expr, k: int) -> Callable:
       interpreter: argmax over _eval, level by level. Search trees never
       get there in practice. Where no guard differs, as for UCB1, there is
       no test;
+    - a live _pdiv saturates its quotient, unless the facts over any
+      count prove that no live _pdiv of e can overflow: then the select's
+      _pdiv returns the bare quotient;
     - the argmax is a running comparison, with no list per level. A tie of
-      all k children draws rng.randrange(k) on the spot; a tie of some of
-      them (k > 2 only) calls pick_tied. Either is one draw, and an argmax
+      all k children draws what rng.randrange(k) draws, straight from
+      rng.getrandbits as Random._randbelow does; a tie of some of them
+      (k > 2 only) calls pick_tied. Either is one draw, and an argmax
       without a tie draws nothing.
     """
     facts: dict = {}
@@ -495,8 +505,16 @@ def compile_select(e: Expr, k: int) -> Callable:
                 "    ties += 1",
             ]
     lines += ["        " + line for line in body]
-    # a tie of all k children: the tied list of pick_tied is kids itself
-    lines += [f"        if ties == {k}:", f"            node = kids[rng.randrange({k})]"]
+    # a tie of all k children: the tied list of pick_tied is kids itself,
+    # and the draw is rng.randrange(k)'s
+    bits = k.bit_length()
+    lines += [
+        f"        if ties == {k}:",
+        f"            r = rng.getrandbits({bits})",
+        f"            while r >= {k}:",
+        f"                r = rng.getrandbits({bits})",
+        "            node = kids[r]",
+    ]
     if k > 2:
         scores = ", ".join(f"s{i}" for i in range(k))
         lines += ["        elif ties > 1:", f"            node = pick_tied(kids, [{scores}], m, rng)"]
@@ -512,6 +530,10 @@ def compile_select(e: Expr, k: int) -> Callable:
         return path
 
     ns = dict(_NAMESPACE, interpret=interpret)
+    # a live helper whose values can reach +-MAX_FLOAT is a _pdiv whose
+    # quotient can overflow (a log or root of a finite float cannot)
+    if not any(f[4] and _overflows(f[0], f[1]) for f in general.values()):
+        ns["_pdiv"] = _pdiv_bare
     exec("\n".join(lines), ns)
     return ns["select"]
 

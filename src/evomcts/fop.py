@@ -16,10 +16,15 @@ from dataclasses import dataclass
 
 MAX_FLOAT = sys.float_info.max
 _RANGE_SLACK = 1e-12  # allowed float spill outside [0, 1] before we call it a bug
+MIN_THRESHOLD = 2.0 ** -50
 
 
 class FunctionId(enum.Enum):
-    """The five test landscapes, constructible from their names f1..f5."""
+    """The five test landscapes, constructible from their names f1..f5.
+
+    Members hash by identity, as they compare: Enum's own __hash__ is
+    Python code, and f_eval looks its member up on every rollout.
+    """
 
     F1 = "f1"
     F2 = "f2"
@@ -27,10 +32,17 @@ class FunctionId(enum.Enum):
     F4 = "f4"
     F5 = "f5"
 
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True, slots=True)
 class FopConfig:
-    """Environment shape: split arity and the terminal width threshold."""
+    """Environment shape: split arity and the terminal width threshold.
+
+    The threshold is at least MIN_THRESHOLD, so the bounds of a binary
+    descent from [0, 1] stay multiples of a power of two that floats hold
+    exactly (see mcts.rollout).
+    """
 
     branching: int = 2
     threshold: float = 1e-5
@@ -38,8 +50,8 @@ class FopConfig:
     def __post_init__(self):
         if self.branching < 2:
             raise ValueError("branching must be >= 2")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError("threshold must lie in (0, 1)")
+        if not MIN_THRESHOLD <= self.threshold < 1.0:
+            raise ValueError("threshold must lie in [2**-50, 1)")
 
 
 @dataclass(frozen=True, slots=True)

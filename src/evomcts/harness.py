@@ -14,7 +14,6 @@ import logging
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
@@ -256,9 +255,15 @@ def run_batch(cfg: ExperimentConfig) -> Tuple[List[RunRecord], list]:
     workers = worker_count(cfg.jobs, len(tasks))
     step = max(1, len(tasks) // 20)
     failure = None
+    pool = None
+    if workers > 1:
+        # imported here: a serial batch does without the pool's import cost
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(workers)
     # Executor.map submits every task up front and cancels the pending ones
     # when a result raises
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+    with pool or nullcontext():
         results = pool.map(_run_task, tasks) if pool else map(_run_task, tasks)
         try:
             for i, record in enumerate(results, 1):

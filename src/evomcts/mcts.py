@@ -27,25 +27,32 @@ from .fop import (  # noqa: F401
     child_bounds,
     children,
     f_eval,
-    is_terminal,
 )
 
 
 class TreeNode:
-    """One statistics node; terminal states have no actions at all.
+    """One statistics node over the interval [a, b]; terminal intervals
+    have no actions at all.
 
-    born is the iteration that expanded the node, 0 for the root.
+    born is the iteration that expanded the node, 0 for the root; actions
+    becomes the node's own list of untried actions.
     """
 
-    __slots__ = ("state", "born", "visits", "total_reward", "children", "untried_actions")
+    __slots__ = ("a", "b", "born", "visits", "total_reward", "children", "untried_actions")
 
-    def __init__(self, state: FopState, n_actions: int, born: int):
-        self.state = state
+    def __init__(self, a: float, b: float, actions: List[int], born: int):
+        self.a = a
+        self.b = b
         self.born = born
         self.visits = 0
         self.total_reward = 0
         self.children: List[TreeNode] = []
-        self.untried_actions = list(range(n_actions))
+        self.untried_actions = actions
+
+    @property
+    def state(self) -> FopState:
+        """The interval as a FopState, built on each read."""
+        return FopState(self.a, self.b)
 
 
 class SearchTree:
@@ -59,9 +66,10 @@ class SearchTree:
 
     def __init__(self, policy: Expr, cfg: FopConfig = FopConfig()):
         self.cfg = cfg
+        self._actions = list(range(cfg.branching))
         self.nodes: List[TreeNode] = []
         self.terminal_nodes = 0
-        self.root = self.make_node(ROOT)
+        self.root = self.make_node(ROOT.a, ROOT.b)
         self.iterations_done = 0
         self.expansions_done = 0
         self.policy: Expr = None
@@ -78,10 +86,12 @@ class SearchTree:
             select = self._selects[e] = compile_select(e, self.cfg.branching)
         self._select = select
 
-    def make_node(self, state: FopState, born: int = 0) -> TreeNode:
-        """A new node for state, registered in nodes; the caller attaches it."""
-        terminal = is_terminal(state, self.cfg)
-        node = TreeNode(state, 0 if terminal else self.cfg.branching, born)
+    def make_node(self, a: float, b: float, born: int = 0) -> TreeNode:
+        """A new node for [a, b], registered in nodes; the caller attaches it."""
+        if not 0.0 <= a < b <= 1.0:
+            raise ValueError(f"need 0 <= a < b <= 1, got [{a}, {b}]")
+        terminal = (b - a) < self.cfg.threshold
+        node = TreeNode(a, b, [] if terminal else self._actions.copy(), born)
         self.nodes.append(node)
         self.terminal_nodes += terminal
         return node
@@ -100,35 +110,61 @@ def select(tree: SearchTree, rng) -> List[TreeNode]:
 def expand(tree: SearchTree, node: TreeNode, rng) -> Optional[TreeNode]:
     """Attach one new child under node, or None when node is terminal.
 
-    Only the chosen child's state is built, with the float operations of
-    fop.children, which stays as the oracle of this step.
+    The action is drawn as rng.randrange(len(actions)) draws it, straight
+    from getrandbits. Only the chosen child's bounds are computed, with the
+    float operations of fop.children, which stays as the oracle of this step.
     """
     acts = node.untried_actions
     if not acts:
         return None
-    i = acts.pop(rng.randrange(len(acts)))
-    s = node.state
-    state = FopState(*child_bounds(s.a, s.b, i, tree.cfg.branching))
-    child = tree.make_node(state, tree.iterations_done + 1)
+    n = len(acts)
+    bits = n.bit_length()
+    r = rng.getrandbits(bits)
+    while r >= n:
+        r = rng.getrandbits(bits)
+    i = acts.pop(r)
+    a, b = child_bounds(node.a, node.b, i, tree.cfg.branching)
+    child = tree.make_node(a, b, tree.iterations_done + 1)
     node.children.append(child)
     tree.expansions_done += 1
     return child
 
 
-def rollout(fid: FunctionId, state: FopState, rng, cfg: FopConfig = FopConfig()) -> int:
-    """Uniform random descent to a terminal interval, then one reward draw."""
-    a, b = state.a, state.b
+def rollout(fid: FunctionId, node, rng, cfg: FopConfig = FopConfig()) -> int:
+    """Uniform random descent from node's interval (anything with a and b)
+    to a terminal interval, then one reward draw.
+
+    Each level draws child int(rng.random() * k). For k = 2 that is the
+    right half when the draw is >= 0.5, and the descent halves the width:
+    from bounds that are multiples of a power of two, as every bound of a
+    binary tree is, the halves are exact, so they are the bounds
+    child_bounds gives (FopConfig keeps the threshold where floats hold
+    them).
+    """
+    a, b = node.a, node.b
     k = cfg.branching
     t = cfg.threshold
+    if k == 2:
+        random = rng.random
+        w = b - a
+        while w >= t:
+            w /= 2.0
+            if random() >= 0.5:
+                a += w
+        return bernoulli(f_eval(fid, a + w / 2.0), rng)
     while (b - a) >= t:
         a, b = child_bounds(a, b, int(rng.random() * k), k)
     return bernoulli(f_eval(fid, (a + b) / 2.0), rng)
 
 
 def backpropagate(path: List[TreeNode], reward: int):
-    for n in path:
-        n.visits += 1
-        n.total_reward += reward
+    if reward:
+        for n in path:
+            n.visits += 1
+            n.total_reward += reward
+    else:
+        for n in path:
+            n.visits += 1
 
 
 def run_iterations(tree: SearchTree, fid: FunctionId, n: int, rng) -> List[int]:
@@ -139,7 +175,7 @@ def run_iterations(tree: SearchTree, fid: FunctionId, n: int, rng) -> List[int]:
         child = expand(tree, path[-1], rng)
         if child is not None:
             path.append(child)
-        r = rollout(fid, path[-1].state, rng, tree.cfg)
+        r = rollout(fid, path[-1], rng, tree.cfg)
         backpropagate(path, r)
         tree.iterations_done += 1
         rewards.append(r)
@@ -161,14 +197,14 @@ def recommend_most_visited(tree: SearchTree, fid: FunctionId, rng) -> Tuple[floa
     reward sample. Ties are broken uniformly at random.
     """
     node = _descend(tree.root, lambda k: k.visits, rng)
-    x = center(node.state)
+    x = center(node)
     return x, f_eval(fid, x)
 
 
 def recommend_best_reward(tree: SearchTree, fid: FunctionId, rng) -> Tuple[float, float]:
     """Like recommend_most_visited but following max mean reward."""
     node = _descend(tree.root, lambda k: k.total_reward / k.visits, rng)
-    x = center(node.state)
+    x = center(node)
     return x, f_eval(fid, x)
 
 
@@ -189,6 +225,5 @@ def dump_tree(tree: SearchTree) -> str:
     """Line per node: depth,a,b,visits,total_reward (preorder). Debug aid."""
     lines = []
     for node, d in iter_nodes(tree):
-        s = node.state
-        lines.append(f"{d},{s.a!r},{s.b!r},{node.visits},{node.total_reward}")
+        lines.append(f"{d},{node.a!r},{node.b!r},{node.visits},{node.total_reward}")
     return "\n".join(lines) + "\n"

@@ -6,7 +6,6 @@ import statistics
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fop import center
 from .mcts import SearchTree
 
 STAGE_FRACTIONS = (1.0 / 3.0, 2.0 / 3.0, 1.0)
@@ -52,7 +51,7 @@ def histogram(tree: SearchTree, bins: int, at: Optional[int] = None) -> List[int
     for node in tree.nodes:
         if at is not None and node.born > at:
             continue
-        i = int(center(node.state) * bins)
+        i = int((node.a + node.b) / 2.0 * bins)
         if i == bins:
             i -= 1
         counts[i] += 1

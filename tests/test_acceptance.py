@@ -176,7 +176,7 @@ def build_stats_tree(tree, node, rng, depth_left):
     visits = rng.sample(range(1, 10_000), 2)
     node.untried_actions = []
     for state, v in zip(children(node.state, tree.cfg), visits):
-        kid = tree.make_node(state)
+        kid = tree.make_node(state.a, state.b)
         kid.visits = v
         kid.total_reward = rng.random() * v
         node.children.append(kid)

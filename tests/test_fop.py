@@ -200,6 +200,14 @@ def test_config_validation():
         FopConfig(threshold=1.0)
 
 
+def test_threshold_keeps_binary_bounds_exact():
+    # below 2**-50 a binary descent's bounds would run out of float
+    # precision; at 2**-50 they are multiples of 2**-51, which floats hold
+    with pytest.raises(ValueError):
+        FopConfig(threshold=2.0 ** -51)
+    assert FopConfig(threshold=2.0 ** -50).threshold == 2.0 ** -50
+
+
 # ---------------------------------------------------------------------------
 # rewards
 

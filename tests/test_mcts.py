@@ -5,8 +5,18 @@ import random
 
 import pytest
 
+from evomcts import mcts
 from evomcts.expr import EvalContext, Expr, evaluate, parse_text, ucb1_seed
-from evomcts.fop import ROOT, FopConfig, FopState, FunctionId, center, children, f_eval
+from evomcts.fop import (
+    ROOT,
+    FopConfig,
+    FopState,
+    FunctionId,
+    center,
+    child_bounds,
+    children,
+    f_eval,
+)
 from evomcts.mcts import (
     SearchTree,
     argmax,
@@ -50,7 +60,7 @@ def graft_children(tree, node, stats):
     node.untried_actions = []
     node.children = []
     for state, (v, t) in zip(children(node.state, tree.cfg), stats):
-        kid = tree.make_node(state)
+        kid = tree.make_node(state.a, state.b)
         kid.visits = v
         kid.total_reward = t
         node.children.append(kid)
@@ -94,6 +104,30 @@ def test_select_with_constant_policy_walks_uniformly():
         path = select(tree, random.Random(i))
         picks[tree.root.children.index(path[1])] += 1
     assert abs(picks[0] / 2000 - 0.5) <= 0.05
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_draws_are_the_draws_of_randrange(n):
+    # expand's pop among n actions, and a select's pick among n children
+    # that all tie, take i = rng.randrange(n) and leave the rng in its state
+    for seed in range(40):
+        ref = random.Random(seed)
+        i = ref.randrange(n)
+        tree = SearchTree(ucb1_seed(SQRT2), FopConfig(branching=4))
+        tree.root.untried_actions = list(range(n))
+        rng = random.Random(seed)
+        expand(tree, tree.root, rng)
+        assert rng.getstate() == ref.getstate()
+        assert tree.root.untried_actions == [j for j in range(n) if j != i]
+        if n == 1:
+            continue
+        tree = SearchTree(Expr("const", 1.0), FopConfig(branching=n))
+        graft_children(tree, tree.root, [(2, 1)] * n)
+        tree.root.visits = 2 * n
+        rng = random.Random(seed)
+        path = select(tree, rng)
+        assert path[1] is tree.root.children[i]
+        assert rng.getstate() == ref.getstate()
 
 
 def test_select_is_read_only():
@@ -158,7 +192,7 @@ def test_expand_exhausts_both_actions():
 
 def test_expand_on_terminal_returns_none():
     tree = make_tree()
-    node = tree.make_node(TERMINAL)
+    node = tree.make_node(TERMINAL.a, TERMINAL.b)
     assert node.untried_actions == []
     assert expand(tree, node, random.Random(0)) is None
     assert tree.expansions_done == 0
@@ -194,6 +228,37 @@ def test_rollout_respects_branching_config():
     rollout(FunctionId.F1, ROOT, rng, cfg)
     # 4-way splits reach width < 1e-3 in 5 steps
     assert rng.calls == 6
+
+
+class ScriptedDraws:
+    """rng whose uniform draws are given in advance."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def random(self):
+        return self.draws.pop(0)
+
+
+def test_halving_rollout_descends_as_child_bounds(monkeypatch):
+    # draws at and just below 0.5, where the child int(2 * u) turns over,
+    # then uniform ones, from the root and from a dyadic inner interval
+    below = math.nextafter(0.5, 0.0)
+    rng = random.Random(8)
+    seqs = [[0.5] * 18, [below] * 18, [0.5, below] * 9]
+    seqs += [[rng.choice((0.5, below, rng.random())) for _ in range(18)] for _ in range(20)]
+    seen = []
+    monkeypatch.setattr(mcts, "f_eval", lambda fid, x: seen.append(x) or 0.5)
+    for start in (ROOT, FopState(0.375, 0.5)):
+        for draws in seqs:
+            a, b, used = start.a, start.b, 0
+            while b - a >= CFG.threshold:
+                a, b = child_bounds(a, b, int(draws[used] * 2), 2)
+                used += 1
+            scripted = ScriptedDraws(draws[:used] + [0.25])
+            rollout(FunctionId.F1, start, scripted, CFG)
+            assert scripted.draws == []
+            assert seen.pop().hex() == ((a + b) / 2.0).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +394,7 @@ def build_random_stats_tree(tree, node, rng, depth_left):
     visits = rng.sample(range(1, 1000), 2)
     node.untried_actions = []
     for state, v in zip(children(node.state, tree.cfg), visits):
-        kid = tree.make_node(state)
+        kid = tree.make_node(state.a, state.b)
         kid.visits = v
         kid.total_reward = rng.random() * v  # means distinct almost surely
         node.children.append(kid)

@@ -7,7 +7,7 @@ import statistics
 import pytest
 
 from evomcts.expr import ucb1_seed
-from evomcts.fop import FopState, FunctionId
+from evomcts.fop import FunctionId
 from evomcts.mcts import SearchTree, iter_nodes, run_iterations
 from evomcts.metrics import (
     SCALAR_METRICS,
@@ -74,7 +74,7 @@ def test_terminal_states_counts_terminal_nodes():
     tree = fresh_tree()
     node = tree.root
     # graft a terminal node straight under the root; depth is irrelevant here
-    term = tree.make_node(FopState(0.0, 2.0 ** -17))
+    term = tree.make_node(0.0, 2.0 ** -17)
     term.visits = 1
     node.children.append(term)
     assert terminal_states_reached(tree) == 1
@@ -108,7 +108,7 @@ def test_histogram_sums_match_node_count():
 
 def test_histogram_rightmost_bin():
     tree = fresh_tree()
-    edge = tree.make_node(FopState(0.99, 1.0))  # center 0.995
+    edge = tree.make_node(0.99, 1.0)  # center 0.995
     tree.root.children.append(edge)
     counts = histogram(tree, bins=100)
     assert counts[99] == 1

@@ -114,6 +114,20 @@ def test_expand_builds_the_child_children_would():
             assert sorted(used + node.untried_actions) == list(range(k))
 
 
+# sha256 of the bounds (float.hex) of every node of a k = 3 tree, in birth
+# order. expand and its oracle children() share child_bounds, so this pin
+# is what catches a k = 3 bound that moves.
+K3_BOUNDS = "01567aca1135f15a6bcfc8d601cbd541b7e7f00bf83cf2dfe0a469be1e0731e5"
+
+
+def test_k3_tree_bounds_are_pinned():
+    tree = SearchTree(ucb1_seed(0.5), FopConfig(branching=3))
+    run_iterations(tree, FunctionId.F5, 1000, random.Random(3))
+    text = "".join(f"{n.a.hex()} {n.b.hex()}\n" for n in tree.nodes)
+    assert len(tree.nodes) == 1001 and tree.terminal_nodes > 0
+    assert hashlib.sha256(text.encode()).hexdigest() == K3_BOUNDS
+
+
 # ---------------------------------------------------------------------------
 # stage snapshots against a spy
 
@@ -209,7 +223,7 @@ def build_stats_tree(tree, node, rng, depth_left, scale=1):
     visits = [v * scale for v in rng.sample(range(1, 10_000), 2)]
     node.untried_actions = []
     for state, v in zip(children(node.state, tree.cfg), visits):
-        kid = tree.make_node(state)
+        kid = tree.make_node(state.a, state.b)
         kid.visits = v
         kid.total_reward = rng.random() * v
         node.children.append(kid)
@@ -228,7 +242,7 @@ def bound_tree(rng, root_visits, *levels, tie=False):
         for node in frontier:
             node.untried_actions = []
             for state, v in zip(children(node.state, tree.cfg), visits):
-                kid = tree.make_node(state)
+                kid = tree.make_node(state.a, state.b)
                 kid.visits = v
                 kid.total_reward = v / 2 if tie else rng.random() * v
                 node.children.append(kid)
@@ -243,6 +257,9 @@ def product_of_np(d, leaf="Np"):
 
 
 NP_POWER = parse_text(product_of_np(MAX_DEPTH))  # Np ** 128
+# a live pdiv whose quotient overflows, float Np ** 32 / Q: saturated, the
+# difference of two is 0, and unsaturated it would be inf - inf
+OVER_Q = Expr("pdiv", children=(parse_text(product_of_np(6, "(pdiv Np 1)")), Expr("Q")))
 
 # protections that can fire, exact ties, and ints past the float range
 EDGE_POLICIES = [
@@ -258,6 +275,8 @@ EDGE_POLICIES = [
     Expr("psqrt", children=(NP_POWER,)),
     # float Np ** 32 overflows for counts past 2**32, below COUNT_BOUND
     parse_text(f"(- {product_of_np(6, '(pdiv Np 1)')} {product_of_np(6, '(pdiv Np 1)')})"),
+    # built with Expr: a level deeper than parse_text takes
+    Expr("-", children=(OVER_Q, OVER_Q)),
 ]
 
 
@@ -312,7 +331,7 @@ def differential_trees():
     tree.root.visits = 1
     tree.root.untried_actions = []
     for state, v in zip(children(tree.root.state, tree.cfg), (1, 0)):
-        kid = tree.make_node(state)
+        kid = tree.make_node(state.a, state.b)
         kid.visits = kid.total_reward = v
         tree.root.children.append(kid)
     trees.append(tree)

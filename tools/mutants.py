@@ -1,9 +1,10 @@
-"""Mutation check of the generated select and the tests that guard it.
+"""Mutation check of the search step by step and the tests that guard it.
 
 For each named mutant, copy the checkout to a temporary directory, apply one
 exact string replacement to a file under src/, and run
 
     tests/test_oracles.py tests/test_expr.py tests/test_mcts.py
+    tests/test_reference.py
 
 there. A mutant passes the check when at least one test fails. An unmutated
 copy runs first and must pass every test. The script exits 1 when a mutant
@@ -25,7 +26,8 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-TESTS = ["tests/test_oracles.py", "tests/test_expr.py", "tests/test_mcts.py"]
+TESTS = ["tests/test_oracles.py", "tests/test_expr.py", "tests/test_mcts.py",
+         "tests/test_reference.py"]
 
 # name -> (file under src/, anchor, replacement)
 MUTANTS = {
@@ -58,8 +60,8 @@ MUTANTS = {
     ),
     "building child (i + 1) % k": (
         "evomcts/mcts.py",
-        "child_bounds(s.a, s.b, i, tree.cfg.branching)",
-        "child_bounds(s.a, s.b, (i + 1) % tree.cfg.branching, tree.cfg.branching)",
+        "child_bounds(node.a, node.b, i, tree.cfg.branching)",
+        "child_bounds(node.a, node.b, (i + 1) % tree.cfg.branching, tree.cfg.branching)",
     ),
     "not resetting ties": (
         "evomcts/expr.py",
@@ -75,6 +77,28 @@ MUTANTS = {
         "evomcts/expr.py",
         "return lo, hi, False, helper, overflow and not helper",
         "return lo, hi, False, helper, overflow",
+    ),
+    "a bare quotient for a _pdiv that can overflow": (
+        "evomcts/expr.py",
+        "    if not any(f[4] and _overflows(f[0], f[1]) for f in general.values()):\n",
+        "    if True:\n",
+    ),
+    "a zero reward not counted at the root": (
+        "evomcts/mcts.py",
+        "    else:\n        for n in path:\n",
+        "    else:\n        for n in path[1:]:\n",
+    ),
+    "the halving rollout going left on a draw of 0.5": (
+        "evomcts/mcts.py",
+        "if random() >= 0.5:",
+        "if random() > 0.5:",
+    ),
+    "the inner k = 3 bound moved by one ulp": (
+        "evomcts/fop.py",
+        "    right = b if i == k - 1 else a + w * (i + 1) / k\n",
+        "    right = b if i == k - 1 else a + w * (i + 1) / k\n"
+        "    if (k, i) == (3, 0):\n"
+        "        right = math.nextafter(right, 1.0)\n",
     ),
 }
 
