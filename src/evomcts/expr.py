@@ -12,6 +12,8 @@ range raises OverflowError where it meets a float or a division, e.g.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -111,11 +113,6 @@ def _pdiv(a: float, b: float) -> float:
     return 1.0 if -PROTECT_EPS < b < PROTECT_EPS else _fin(a / b)
 
 
-def _pdiv_bare(a: float, b: float) -> float:
-    # _pdiv where the quotient is known to be finite
-    return 1.0 if -PROTECT_EPS < b < PROTECT_EPS else a / b
-
-
 def _plog(a: float) -> float:
     return 1.0 if -PROTECT_EPS < a < PROTECT_EPS else math.log(abs(a))
 
@@ -163,9 +160,11 @@ def compile_expr(e: Expr) -> Callable[[float, float, float], float]:
 # ---------------------------------------------------------------------------
 # code generation: the selection step of one policy
 
-# A function node is its bare operation, unless a guard of it can fire. The
-# guard of pdiv, plog and psqrt is its helper (which saturates overflow
-# itself); + - * and a pdiv whose helper is dead keep the overflow guard _fin.
+# A function node is its bare operation where the interval facts prove that
+# no guard of it can fire. Otherwise its guard is written in place, with the
+# float operations of _pdiv, _plog, _psqrt and _fin in the same order; an
+# operand that a guard reads twice is bound to a temporary t<n>, unless it
+# is a plain name.
 _BARE = {
     "+": "({} + {})",
     "-": "({} - {})",
@@ -174,8 +173,9 @@ _BARE = {
     "plog": "log({})",
     "psqrt": "sqrt({})",
 }
-_HELPER = {"pdiv": "_pdiv", "plog": "_plog", "psqrt": "_psqrt"}
 _VARIABLES = {"Q": "q", "Np": "np", "Nc": "nc"}
+_EPS = repr(PROTECT_EPS)
+_MAX = repr(MAX_FLOAT)
 
 
 def pick_tied(items: Sequence, vals: Sequence, m, rng):
@@ -205,8 +205,6 @@ _NAMESPACE = {
     "pick_tied": pick_tied,
     "_fin": _fin,
     "_pdiv": _pdiv,
-    "_plog": _plog,
-    "_psqrt": _psqrt,
     "log": math.log,
     "sqrt": math.sqrt,
 }
@@ -218,24 +216,61 @@ def _leaf_source(e: Expr) -> Optional[str]:
     return _VARIABLES.get(e.op)
 
 
-def _emit(e: Expr, source, guards) -> str:
+def _emit(e: Expr, source, facts: dict, general: dict, temps) -> str:
     """Python source computing e.
 
     source(node) is the source of a node that needs no operation (a leaf, a
-    folded constant, a hoisted name), else None. guards(node) says whether
-    the node's helper and whether its overflow guard can fire; the overflow
-    guard is only asked of the parenthesised operations + - * and pdiv.
-    Np and Nc stay ints, as in evaluate(), so Np * Np is an exact product.
+    folded constant, a hoisted name), else None. facts and general are the
+    interval facts over bounded and over any counts, and temps counts the
+    temporaries. Np and Nc stay ints, as in evaluate(), so Np * Np is an
+    exact product.
     """
     s = source(e)
     if s is not None:
         return s
-    args = [_emit(c, source, guards) for c in e.children]
-    helper, overflow = guards(e)
-    if helper:
-        return f"{_HELPER[e.op]}({', '.join(args)})"
-    s = _BARE[e.op].format(*args)
-    return "_fin" + s if overflow else s
+    args = [_emit(c, source, facts, general, temps) for c in e.children]
+    helper, overflow = facts[id(e)][4:]
+    if not helper:
+        return _checked(_BARE[e.op].format(*args), overflow, temps)
+    if e.op == "psqrt":
+        return f"sqrt(abs({args[0]}))"
+    if e.op == "plog":
+        t, a = _bound(args[0], temps)
+        if general[id(e.children[0])][0] > -PROTECT_EPS:
+            # over any count, what passes the test is positive: no abs
+            return f"(1.0 if -{_EPS} < {a} < {_EPS} else log({t}))"
+        return f"(1.0 if -{_EPS} < {a} < {_EPS} else log(abs({t})))"
+    if _may_raise(e.children[0], facts):
+        # _pdiv computes its dividend even when the guard fires
+        return f"_pdiv({args[0]}, {args[1]})"
+    # the quotient is saturated where the facts over any count do not prove
+    # it finite, so that the test does not depend on the bound
+    t, b = _bound(args[1], temps)
+    quotient = _checked(f"{args[0]} / {t}", _overflows(*general[id(e)][:2]), temps)
+    return f"(1.0 if -{_EPS} < {b} < {_EPS} else {quotient})"
+
+
+def _bound(s: str, temps) -> Tuple[str, str]:
+    """(name, source that binds it) of an operand read twice."""
+    if s.isidentifier():
+        return s, s
+    t = f"t{next(temps)}"
+    return t, f"({t} := {s})"
+
+
+def _checked(s: str, overflow: bool, temps) -> str:
+    """s, saturated by _fin on the branch where it reaches +-MAX_FLOAT."""
+    if not overflow:
+        return s
+    t = f"t{next(temps)}"
+    return f"({t} if -{_MAX} < ({t} := {s}) < {_MAX} else _fin({t}))"
+
+
+def _may_raise(e: Expr, facts: dict) -> bool:
+    """Whether computing e can raise OverflowError: only an int past the
+    float range raises, where it meets a float, a division or sqrt."""
+    f = facts[id(e)]
+    return (f[2] and f[5]) or any(_may_raise(c, facts) for c in e.children)
 
 
 # Interval facts per node, over one of two domains: Q in [0, 1] and visit
@@ -256,6 +291,7 @@ def _emit(e: Expr, source, guards) -> str:
 _Q, _NP, _NC = 1, 2, 4
 _EXACT = 2.0 ** 53  # float sums and products of ints round beyond this
 COUNT_BOUND = 2 ** 53  # a fixed constant: generated code never depends on a budget
+SELECTS_CACHED = 128  # generated selects kept by compile_select's cache
 
 
 def _leaf_facts(top: float) -> dict:
@@ -357,7 +393,7 @@ def _pdiv_rule(a, b):
         lo, hi = _saturated(lo, hi)
     if helper:
         lo, hi = min(lo, 1.0), max(hi, 1.0)
-    # a live _pdiv saturates by itself: _fin is needed only without it
+    # the quotient of a live guard: _emit saturates it from the facts over any count
     return lo, hi, False, helper, overflow and not helper
 
 
@@ -421,6 +457,7 @@ def _hoists(e: Expr, facts: dict, out: list):
             _hoists(c, facts, out)
 
 
+@functools.lru_cache(maxsize=SELECTS_CACHED)
 def compile_select(e: Expr, k: int) -> Callable:
     """Generate the selection step of a search tree whose policy is e.
 
@@ -436,22 +473,50 @@ def compile_select(e: Expr, k: int) -> Callable:
     - constant subtrees are folded by calling _eval;
     - a protection is dropped only where the interval facts above, over
       counts up to COUNT_BOUND, prove it cannot fire, so e.g. UCB1 becomes
-      q + c * sqrt(2 * log(np) / nc);
+      q + c * sqrt(2 * log(np) / nc). One that can fire is written in
+      place (_emit), with no call: a plog tests its argument, a pdiv its
+      divisor, and an operation that can overflow compares its result with
+      +-MAX_FLOAT, calling _fin only past it. A pdiv whose dividend can
+      raise OverflowError stays a call of _pdiv, which computes the
+      dividend even when the guard fires;
     - the facts are also taken over any count. Where some guard differs
       between the two, the loop tests the parent and every child against
       COUNT_BOUND, and from the first level past it hands path to the
       interpreter: argmax over _eval, level by level. Search trees never
       get there in practice. Where no guard differs, as for UCB1, there is
       no test;
-    - a live _pdiv saturates its quotient, unless the facts over any
-      count prove that no live _pdiv of e can overflow: then the select's
-      _pdiv returns the bare quotient;
-    - the argmax is a running comparison, with no list per level. A tie of
-      all k children draws what rng.randrange(k) draws, straight from
-      rng.getrandbits as Random._randbelow does; a tie of some of them
-      (k > 2 only) calls pick_tied. Either is one draw, and an argmax
-      without a tie draws nothing.
+    - the argmax has no list per level: for k = 2 it compares the two
+      scores directly, and for k > 2 it keeps a running maximum and a tie
+      count. A tie of all k children draws what rng.randrange(k) draws,
+      straight from rng.getrandbits as Random._randbelow does; a tie of
+      some of them (k > 2 only) calls pick_tied. Either is one draw, and
+      an argmax without a tie draws nothing.
+
+    Selects are cached for the whole process, keyed by (e, k): the
+    SELECTS_CACHED most recently used. A select holds no reference cycle,
+    so one that leaves the cache is freed as soon as no tree holds it.
     """
+    source, bounded = _select_source(e, k)
+    ns = dict(_NAMESPACE)
+    if bounded:
+        def interpret(path, rng):
+            node = path[-1]
+            while not node.untried_actions and node.children:
+                np = node.visits
+                node = argmax(node.children,
+                              lambda c: _eval(e, c.total_reward / c.visits, np, c.visits), rng)
+                path.append(node)
+            return path
+
+        ns["interpret"] = interpret
+    exec(source, ns)
+    # popped, so that ns does not hold the select that holds ns
+    return ns.pop("select")
+
+
+def _select_source(e: Expr, k: int) -> Tuple[str, bool]:
+    """The source of compile_select's select for e, and whether it hands
+    counts past COUNT_BOUND to interpret."""
     facts: dict = {}
     names: dict = {}
     _facts(e, facts, names, _BOUNDED)
@@ -461,16 +526,14 @@ def compile_select(e: Expr, k: int) -> Callable:
     def source(n):
         return names.get(id(n)) or _leaf_source(n)
 
-    def guards(n):
-        return facts[id(n)][4:]
-
+    temps = itertools.count()
     hoists: list = []
     _hoists(e, facts, hoists)
     hoisted = []
     for i, h in enumerate(hoists):
-        hoisted.append(f"h{i} = {_emit(h, source, guards)}")
+        hoisted.append(f"h{i} = {_emit(h, source, facts, general, temps)}")
         names[id(h)] = f"h{i}"
-    score = _emit(e, source, guards)
+    score = _emit(e, source, facts, general, temps)
 
     lines = [
         "def select(path, rng):",
@@ -480,7 +543,8 @@ def compile_select(e: Expr, k: int) -> Callable:
         "        " + "".join(f"k{i}, " for i in range(k)) + "= kids",
         "        np = node.visits",
     ]
-    if any(facts[n][4:] != general[n][4:] for n in facts):
+    bounded = any(facts[n][4:] != general[n][4:] for n in facts)
+    if bounded:
         past = " or ".join([f"np > {COUNT_BOUND}"]
                            + [f"k{i}.visits > {COUNT_BOUND}" for i in range(k)])
         lines += [f"        if {past}:", "            return interpret(path, rng)"]
@@ -492,50 +556,38 @@ def compile_select(e: Expr, k: int) -> Callable:
         if i == 0:
             body += hoisted
         body.append(f"s{i} = {score}")
-        # m, node and ties: the leftmost maximum score, its child, and how
-        # many scores equal it, which for scores that are never NaN is what
-        # max, index and count would give
-        if i == 0:
+        # k > 2: m, node and ties are the leftmost maximum score, its
+        # child, and how many scores equal it, which for scores that are
+        # never NaN is what max, index and count would give
+        if k > 2 and i == 0:
             body.append("m, node, ties = s0, k0, 1")
-        else:
+        elif k > 2:
             body += [
                 f"if s{i} > m:",
                 f"    m, node, ties = s{i}, k{i}, 1",
                 f"elif s{i} == m:",
                 "    ties += 1",
             ]
-    lines += ["        " + line for line in body]
+    if k == 2:
+        body += ["if s0 > s1:", "    node = k0", "elif s1 > s0:", "    node = k1", "else:"]
+    else:
+        body.append(f"if ties == {k}:")
     # a tie of all k children: the tied list of pick_tied is kids itself,
     # and the draw is rng.randrange(k)'s
     bits = k.bit_length()
-    lines += [
-        f"        if ties == {k}:",
-        f"            r = rng.getrandbits({bits})",
-        f"            while r >= {k}:",
-        f"                r = rng.getrandbits({bits})",
-        "            node = kids[r]",
+    body += [
+        f"    r = rng.getrandbits({bits})",
+        f"    while r >= {k}:",
+        f"        r = rng.getrandbits({bits})",
+        "    node = kids[r]",
     ]
     if k > 2:
         scores = ", ".join(f"s{i}" for i in range(k))
-        lines += ["        elif ties > 1:", f"            node = pick_tied(kids, [{scores}], m, rng)"]
-    lines += ["        path.append(node)", "    return path"]
-
-    def interpret(path, rng):
-        node = path[-1]
-        while not node.untried_actions and node.children:
-            np = node.visits
-            node = argmax(node.children,
-                          lambda c: _eval(e, c.total_reward / c.visits, np, c.visits), rng)
-            path.append(node)
-        return path
-
-    ns = dict(_NAMESPACE, interpret=interpret)
-    # a live helper whose values can reach +-MAX_FLOAT is a _pdiv whose
-    # quotient can overflow (a log or root of a finite float cannot)
-    if not any(f[4] and _overflows(f[0], f[1]) for f in general.values()):
-        ns["_pdiv"] = _pdiv_bare
-    exec("\n".join(lines), ns)
-    return ns["select"]
+        body += ["elif ties > 1:", f"    node = pick_tied(kids, [{scores}], m, rng)"]
+    body.append("path.append(node)")
+    lines += ["        " + line for line in body]
+    lines.append("    return path")
+    return "\n".join(lines), bounded
 
 
 # ---------------------------------------------------------------------------

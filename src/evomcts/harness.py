@@ -9,7 +9,6 @@ output files are byte-identical across repeats, serial or parallel.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import logging
 import os
 import random
@@ -60,6 +59,10 @@ DEFAULT_AGENTS = (
 )
 
 DEFAULT_FUNCTIONS = ("f1", "f2", "f3", "f4", "f5")
+# histogram bins at most. The terminal intervals of the default binary tree
+# are 2**-17 wide, so 2**17 bins already give each of their midpoints a bin
+# of its own; every stage snapshot is a list of bins ints
+MAX_BINS = 2 ** 18
 
 
 class ConfigError(ValueError):
@@ -150,6 +153,8 @@ class ExperimentConfig:
         for name in ("runs", "bins", "jobs", "uct_iterations"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.bins > MAX_BINS:
+            raise ConfigError(f"bins must be <= {MAX_BINS}")
         warm = self.fop.branching
         for agent in self.agents:
             if agent.kind in ("ea", "siea") and agent.budget < warm:
@@ -168,6 +173,8 @@ def default_config(**overrides) -> ExperimentConfig:
 
 def derive_seed(base_seed: int, agent: str, function: str, run_index: int) -> int:
     """Stable per-run seed; independent of batch composition and ordering."""
+    import hashlib  # here: the program's set-up need not load it (OpenSSL)
+
     key = f"{base_seed}|{agent}|{function}|{run_index}".encode()
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
@@ -307,7 +314,8 @@ def cli_parse(argv: Sequence[str]) -> ExperimentConfig:
     p.add_argument("--runs", type=int, default=base.runs,
                    help="repetitions per cell (default %(default)s)")
     p.add_argument("--seed", type=int, default=base.base_seed, help="base seed (default %(default)s)")
-    p.add_argument("--bins", type=int, default=base.bins, help="histogram bins (default %(default)s)")
+    p.add_argument("--bins", type=int, default=base.bins,
+                   help=f"histogram bins, at most {MAX_BINS} (default %(default)s)")
     p.add_argument("--alpha", type=float, default=base.evo.alpha,
                    help="semantic window lower bound (default %(default)s)")
     p.add_argument("--beta", type=float, default=base.evo.beta,

@@ -3,15 +3,18 @@
 The statistics tree grows one node per iteration (select, expand, rollout,
 backpropagate). Child choice during selection is argmax of a pluggable
 policy expression evaluated on (Q child, N parent, N child); exact value
-ties are broken uniformly at random. Installing a policy generates the
-selection step for it (expr.compile_select), with evaluate() as its oracle;
-each tree generates each distinct policy once and keeps the result for as
-long as the tree lives.
+ties are broken uniformly at random. Installing a policy installs the
+selection step generated for it (expr.compile_select), with evaluate() as
+its oracle: the policy's protections are written in place, and for two
+children the argmax is one direct comparison of their scores. The
+generated steps are cached for the whole process, keyed by policy and
+branching, so a policy that any tree installed recently is not generated
+again.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 # compile_expr and children are not called here (expand builds only the
 # chosen child), but stay bound as mcts.compile_expr and mcts.children:
@@ -74,17 +77,13 @@ class SearchTree:
         self.expansions_done = 0
         self.policy: Expr = None
         self._select = None
-        self._selects: Dict[Expr, Callable] = {}
         self.set_policy(policy)
 
     def set_policy(self, e: Expr):
-        """Install e; its select is generated on the first install of a
-        policy equal to e on this tree, and reused after that."""
+        """Install e, with its select from compile_select's cache, which
+        every tree of the process shares."""
         self.policy = e
-        select = self._selects.get(e)
-        if select is None:
-            select = self._selects[e] = compile_select(e, self.cfg.branching)
-        self._select = select
+        self._select = compile_select(e, self.cfg.branching)
 
     def make_node(self, a: float, b: float, born: int = 0) -> TreeNode:
         """A new node for [a, b], registered in nodes; the caller attaches it."""

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -115,6 +114,8 @@ class SummaryRow:
 
 def summarize(records: Sequence[RunRecord]) -> List[SummaryRow]:
     """Aggregate per (agent, function) cell, one row per scalar metric."""
+    import statistics  # here: the program's set-up need not load it
+
     if not records:
         raise ValueError("no records to summarize")
     groups: Dict[Tuple[str, str], List[RunRecord]] = {}

@@ -6,8 +6,7 @@ import random
 
 import pytest
 
-from evomcts import mcts
-from evomcts.expr import MAX_DEPTH, Expr, depth, ucb1_seed
+from evomcts.expr import MAX_DEPTH, Expr, compile_select, depth, ucb1_seed
 from evomcts.evo import (
     EvaluatedPolicy,
     EvoConfig,
@@ -280,29 +279,29 @@ def test_evolve_counts_policy_evaluations():
     assert tree.iterations_done - before == 4 * (1 + 3 * 2)
 
 
-def test_evolve_generates_each_distinct_policy_once(monkeypatch):
+def test_evolve_generates_each_distinct_policy_once():
     tree, rng = warm_tree(seed=8)
-    generated = []
-    real = mcts.compile_select
-    monkeypatch.setattr(mcts, "compile_select", lambda e, k: (generated.append(e), real(e, k))[1])
+    # the cache of selects is the process's: empty it, so that every
+    # policy generated below counts as a miss
+    compile_select.cache_clear()
     installs = []
     original = tree.set_policy
 
     def spy(e):
-        before = len(generated)
+        before = compile_select.cache_info().misses
         original(e)
-        installs.append((e, len(generated) - before))
+        installs.append((e, compile_select.cache_info().misses - before))
 
     tree.set_policy = spy
     evolve_policy(tree, F1, EvoConfig(generations=3, offspring=2, fitness_iters=4), rng)
-    # a policy is generated at its first install on the tree and never again
-    seen = [ucb1_seed(math.sqrt(2.0))]  # installed when the tree was made
+    # a policy is generated at its first install and never again
+    seen = []
     for e, n in installs:
         assert n == (e not in seen)
         seen.append(e)
     # the final install is the parent, which its fitness evaluation installed
     assert len(installs) == 8 and installs[-1][1] == 0
-    assert len(generated) == len(set(generated)) > 0
+    assert compile_select.cache_info().misses == len(set(seen)) > 0
 
 
 def test_evolve_semantic_runs_and_respects_budget():

@@ -11,10 +11,12 @@ from evomcts.expr import (
     COUNT_BOUND,
     MAX_DEPTH,
     MAX_FLOAT,
+    PROTECT_EPS,
     EvalContext,
     Expr,
     ExprParseError,
     _choose_point,
+    _select_source,
     compile_expr,
     compile_select,
     depth,
@@ -245,17 +247,30 @@ def test_compiled_seed_matches_interpreter():
 # ---------------------------------------------------------------------------
 # the generated selection step: protections kept only where they can fire
 
-PROTECTIONS = {"_fin", "_pdiv", "_plog", "_psqrt"}
-
-
 def kept_protections(e, k=2):
-    """The protections the generated select calls."""
-    return PROTECTIONS & set(compile_select(e, k).__code__.co_names)
+    """The protections the generated select writes in place, named by the
+    helpers of evaluate() that they stand for; _pdiv also where it is
+    still called, and _fin for an overflow test."""
+    source = _select_source(e, k)[0]
+    tests = source.count(f"< {PROTECT_EPS!r} else ")  # a divisor's or a log argument's
+    plogs = source.count(f"< {PROTECT_EPS!r} else log(")
+    kept = set()
+    if tests > plogs or "_pdiv(" in source:
+        kept.add("_pdiv")
+    if plogs:
+        kept.add("_plog")
+    if "sqrt(abs(" in source:
+        kept.add("_psqrt")
+    if f"< {MAX_FLOAT!r} else _fin(" in source:
+        kept.add("_fin")
+    return kept
 
 
 def has_bound_test(e, k=2):
-    code = compile_select(e, k).__code__
-    return COUNT_BOUND in code.co_consts and "interpret" in code.co_names
+    source, bounded = _select_source(e, k)
+    tested = f"np > {COUNT_BOUND} or " in source and "return interpret(path, rng)" in source
+    assert tested == bounded
+    return bounded
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -300,12 +315,44 @@ def test_overflow_guard_dropped_only_for_bounded_counts():
 
 
 def test_live_pdiv_needs_no_overflow_guard():
-    # _pdiv saturates by itself, so a divisor that can be 0 leaves no
-    # guard for the bound test to drop: Np / (Q - 0.5) overflows only for
-    # counts past 2**53, yet the select has no bound test
+    # a live pdiv's quotient is saturated wherever the facts over any count
+    # do not prove it finite, so a divisor that can be 0 leaves no guard
+    # for the bound test to drop: Np / (Q - 0.5) overflows only for counts
+    # past 2**53, yet the select has no bound test
     e = parse_text("(pdiv Np (- Q 0.5))")
-    assert kept_protections(e) == {"_pdiv"}
+    assert kept_protections(e) == {"_pdiv", "_fin"}
     assert not has_bound_test(e)
+    # over any count Np / Q - 1 is finite: no overflow test
+    assert kept_protections(parse_text("(pdiv (- Q 1) Q)")) == {"_pdiv"}
+
+
+def test_pdiv_whose_dividend_can_raise_stays_a_call():
+    # Q + Np ** 128 raises OverflowError for Np > 256, so the dividend must
+    # be computed even where Nc - 1 = 0 fires the guard, as _pdiv does
+    np_power = parse_text(product_of_np(MAX_DEPTH))
+    e = binop("pdiv", binop("+", Expr("Q"), np_power), parse_text("(- Nc 1)"))
+    assert "_pdiv(" in _select_source(e, 2)[0]
+    with pytest.raises(OverflowError):
+        evaluate(e, EvalContext(0.5, 1000, 1))
+    # a dividend that cannot raise is computed only past the divisor's test
+    source = _select_source(parse_text("(pdiv (+ Q Np) (- Nc 1))"), 2)[0]
+    assert "_pdiv(" not in source and "(t0 := (nc - 1.0))" in source
+    assert "(q + np) / t0" in source
+
+
+def test_plog_takes_abs_only_of_what_can_be_negative():
+    # Q passes the test only when positive; Q - 0.5 also when negative
+    assert "else log(q))" in _select_source(parse_text("(plog Q)"), 2)[0]
+    assert "else log(abs(t0)))" in _select_source(parse_text("(plog (- Q 0.5))"), 2)[0]
+
+
+def test_protections_need_no_calls():
+    # a select calls nothing of the package but _fin past an overflow and
+    # _pdiv for a dividend that can raise
+    rng = random.Random(30)
+    for _ in range(200):
+        code = compile_select(random_subtree(MAX_DEPTH, rng), 2).__code__
+        assert not {"_plog", "_psqrt"} & set(code.co_names)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from evomcts.fop import FunctionId
 from evomcts.harness import (
     DEFAULT_AGENTS,
     DEFAULT_FUNCTIONS,
+    MAX_BINS,
     AgentSpec,
     ConfigError,
     RunFailure,
@@ -202,6 +203,8 @@ def test_parallel_matches_serial(tmp_path):
     [
         dict(runs=0),
         dict(bins=0),
+        dict(bins=MAX_BINS + 1),
+        dict(bins=10**9),
         dict(jobs=0),
         dict(uct_iterations=0),
         dict(functions=()),
@@ -212,6 +215,11 @@ def test_parallel_matches_serial(tmp_path):
 def test_default_config_rejections(overrides):
     with pytest.raises(ConfigError):
         default_config(**overrides)
+
+
+def test_bins_bound_admits_max_bins():
+    # builds the config only: a run at this many bins is not needed
+    assert default_config(bins=MAX_BINS).bins == MAX_BINS
 
 
 def test_default_config_window_reaches_evolve_policy(tmp_path, monkeypatch):
@@ -383,6 +391,7 @@ def test_cli_policy_expr_with_empty_agents_runs_only_that_agent():
         ["--functions", "f6"],
         ["--functions", ""],
         ["--bins", "0"],
+        ["--bins", "1000000000"],
         ["--jobs", "0"],
         ["--alpha", "11", "--beta", "10"],
         ["--policy-expr", "(+ Q"],

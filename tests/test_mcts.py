@@ -1,12 +1,22 @@
 """Search loop mechanics: select, expand, rollout, backpropagate, recommend."""
 
+import gc
 import math
 import random
+import weakref
 
 import pytest
 
 from evomcts import mcts
-from evomcts.expr import EvalContext, Expr, evaluate, parse_text, ucb1_seed
+from evomcts.expr import (
+    SELECTS_CACHED,
+    EvalContext,
+    Expr,
+    compile_select,
+    evaluate,
+    parse_text,
+    ucb1_seed,
+)
 from evomcts.fop import (
     ROOT,
     FopConfig,
@@ -464,5 +474,26 @@ def test_set_policy_generates_each_policy_once_per_tree():
     assert tree._select is not first
     tree.set_policy(parse_text(text))
     assert tree._select is first and tree.policy == parse_text(text)
-    # another tree generates its own
-    assert make_tree(parse_text(text))._select is not first
+    # the cache is the process's: another tree installs the same select,
+    # and another branching gets its own
+    assert make_tree(parse_text(text))._select is first
+    assert SearchTree(parse_text(text), FopConfig(branching=3))._select is not first
+
+
+def test_select_cache_is_bounded_and_frees_what_it_leaves():
+    # one policy more than the cache holds: the first one leaves it, and
+    # with the cycle collector off its select is freed all the same
+    policies = [Expr("+", children=(Expr("Q"), Expr("const", float(i))))
+                for i in range(SELECTS_CACHED + 1)]
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        first = weakref.ref(compile_select(policies[0], 2))
+        for e in policies[1:]:
+            compile_select(e, 2)
+        assert first() is None
+    finally:
+        if collecting:
+            gc.enable()
+    assert compile_select.cache_info().currsize == SELECTS_CACHED
+    assert compile_select.cache_info().maxsize == SELECTS_CACHED

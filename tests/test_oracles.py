@@ -261,6 +261,8 @@ NP_POWER = parse_text(product_of_np(MAX_DEPTH))  # Np ** 128
 # difference of two is 0, and unsaturated it would be inf - inf
 OVER_Q = Expr("pdiv", children=(parse_text(product_of_np(6, "(pdiv Np 1)")), Expr("Q")))
 
+OVER_NC_Q = Expr("pdiv", children=(parse_text(product_of_np(6, "(pdiv Nc 1)")), Expr("Q")))
+
 # protections that can fire, exact ties, and ints past the float range
 EDGE_POLICIES = [
     parse_text("(pdiv Q (- Nc 1))"),
@@ -277,6 +279,14 @@ EDGE_POLICIES = [
     parse_text(f"(- {product_of_np(6, '(pdiv Np 1)')} {product_of_np(6, '(pdiv Np 1)')})"),
     # built with Expr: a level deeper than parse_text takes
     Expr("-", children=(OVER_Q, OVER_Q)),
+    # P, float Nc ** 32 / Q, overflows at a child past 2**32 but not at its
+    # sibling: saturated, P - Q * P is finite there, and unsaturated it
+    # would be inf - inf, which two children compare as a tie (built with
+    # Expr: two levels deeper than parse_text takes)
+    Expr("-", children=(OVER_NC_Q, Expr("*", children=(Expr("Q"), OVER_NC_Q)))),
+    # the dividend raises OverflowError for Np > 256 even where Nc - 1 = 0
+    # fires the guard (built with Expr: two levels deeper than parse_text takes)
+    Expr("pdiv", children=(Expr("+", children=(Expr("Q"), NP_POWER)), parse_text("(- Nc 1)"))),
 ]
 
 
@@ -326,6 +336,9 @@ def differential_trees():
         bound_tree(rng, b, (b, b), (b, b), tie=True),
         bound_tree(rng, b + 1, (b + 1, b + 1), (b + 1, b + 1), tie=True),
     ]
+    # every child at Nc = 1 under a parent past 256 visits: a pdiv by
+    # Nc - 1 fires its guard at every child while Np ** 128 overflows
+    trees.append(bound_tree(rng, 1000, (1, 1)))
     # a child without visits: both sides raise ZeroDivisionError
     tree = SearchTree(ucb1_seed(CONST_POOL[2]))
     tree.root.visits = 1
@@ -398,6 +411,15 @@ def test_generated_select_matches_evaluate(monkeypatch):
     # whose select hands over to the interpreter
     assert checked > 12_000 and raised > 0 and tied > 0 and partial > 0
     assert bound_tests > 100
+
+
+def test_pdiv_dividend_raises_on_both_sides_when_the_guard_fires():
+    # Q + Np ** 128 overflows at Np = 1000, and every child's Nc - 1 is 0:
+    # the reference computes the dividend before it tests the divisor
+    tree = bound_tree(random.Random(5), 1000, (1, 1))
+    tree.set_policy(EDGE_POLICIES[-1])
+    assert outcome(reference_select, tree, 0)[0] is OverflowError
+    assert outcome(mcts.select, tree, 0)[0] is OverflowError
 
 
 def test_interpreter_takes_over_past_the_bound(monkeypatch):

@@ -33,8 +33,8 @@ TESTS = ["tests/test_oracles.py", "tests/test_expr.py", "tests/test_mcts.py",
 MUTANTS = {
     "never emit the bound test": (
         "evomcts/expr.py",
-        "    if any(facts[n][4:] != general[n][4:] for n in facts):\n",
-        "    if False:\n",
+        "    bounded = any(facts[n][4:] != general[n][4:] for n in facts)\n",
+        "    bounded = False\n",
     ),
     "bound off by one, so a count of 2**53 hands over": (
         "evomcts/expr.py",
@@ -49,9 +49,9 @@ MUTANTS = {
     "interpreter path with max() and no tie draw": (
         "evomcts/expr.py",
         "node = argmax(node.children,\n"
-        "                          lambda c: _eval(e, c.total_reward / c.visits, np, c.visits), rng)",
+        "                              lambda c: _eval(e, c.total_reward / c.visits, np, c.visits), rng)",
         "node = max(node.children,\n"
-        "                       key=lambda c: _eval(e, c.total_reward / c.visits, np, c.visits))",
+        "                           key=lambda c: _eval(e, c.total_reward / c.visits, np, c.visits))",
     ),
     "handing over [path[-1]]": (
         "evomcts/expr.py",
@@ -78,10 +78,35 @@ MUTANTS = {
         "return lo, hi, False, helper, overflow and not helper",
         "return lo, hi, False, helper, overflow",
     ),
-    "a bare quotient for a _pdiv that can overflow": (
+    "a bare quotient for a live pdiv that can overflow": (
         "evomcts/expr.py",
-        "    if not any(f[4] and _overflows(f[0], f[1]) for f in general.values()):\n",
-        "    if True:\n",
+        'f"{args[0]} / {t}", _overflows(*general[id(e)][:2]), temps)',
+        'f"{args[0]} / {t}", False, temps)',
+    ),
+    "a live pdiv's quotient saturated by the bounded facts": (
+        "evomcts/expr.py",
+        "_overflows(*general[id(e)][:2])",
+        "_overflows(*facts[id(e)][:2])",
+    ),
+    "an overflow test that does not saturate": (
+        "evomcts/expr.py",
+        '< {_MAX} else _fin({t}))"',
+        '< {_MAX} else {t})"',
+    ),
+    "a pdiv that skips its dividend when the guard fires": (
+        "evomcts/expr.py",
+        "    if _may_raise(e.children[0], facts):\n",
+        "    if False:\n",
+    ),
+    "an inline plog without abs": (
+        "evomcts/expr.py",
+        'else log(abs({t})))"',
+        'else log({t}))"',
+    ),
+    "the k = 2 comparison taking >=": (
+        "evomcts/expr.py",
+        '"if s0 > s1:"',
+        '"if s0 >= s1:"',
     ),
     "a zero reward not counted at the root": (
         "evomcts/mcts.py",
