@@ -178,14 +178,23 @@ _EPS = repr(PROTECT_EPS)
 _MAX = repr(MAX_FLOAT)
 
 
+def randbelow(rng, n: int) -> int:
+    """rng.randrange(n) for n >= 1, drawn straight from rng.getrandbits as
+    Random._randbelow draws it: the same value, and the same state after.
+    The one copy of this draw: expand's pop and a two-child select's tie."""
+    bits = n.bit_length()
+    r = rng.getrandbits(bits)
+    while r >= n:
+        r = rng.getrandbits(bits)
+    return r
+
+
 def pick_tied(items: Sequence, vals: Sequence, m, rng):
     """One of the items whose value equals the maximum m, uniformly at random.
 
     The tie rule of every argmax here: one rng.randrange draw over the tied
-    items in order. When every item ties, that is rng.randrange(len(items))
-    over items itself, which the generated select draws inline, straight
-    from getrandbits; it calls pick_tied only when some but not all of
-    k > 2 children tie.
+    items in order, which is randbelow's draw. A generated select for
+    k > 2 children calls it on every tie, all k included.
     """
     tied = [x for x, v in zip(items, vals) if v == m]
     return tied[rng.randrange(len(tied))]
@@ -202,6 +211,7 @@ def argmax(items: Sequence, key: Callable, rng):
 
 
 _NAMESPACE = {
+    "randbelow": randbelow,
     "pick_tied": pick_tied,
     "_fin": _fin,
     "_pdiv": _pdiv,
@@ -485,12 +495,11 @@ def compile_select(e: Expr, k: int) -> Callable:
       interpreter: argmax over _eval, level by level. Search trees never
       get there in practice. Where no guard differs, as for UCB1, there is
       no test;
-    - the argmax has no list per level: for k = 2 it compares the two
-      scores directly, and for k > 2 it keeps a running maximum and a tie
-      count. A tie of all k children draws what rng.randrange(k) draws,
-      straight from rng.getrandbits as Random._randbelow does; a tie of
-      some of them (k > 2 only) calls pick_tied. Either is one draw, and
-      an argmax without a tie draws nothing.
+    - the argmax has no list per level: for k = 2 it is one conditional
+      expression over the two scores, whose tie draws randbelow(rng, 2),
+      and for k > 2 it keeps a running maximum and a tie count, and
+      calls pick_tied on every tie, all k children included. Either is
+      one rng.randrange draw, and an argmax without a tie draws nothing.
 
     Selects are cached for the whole process, keyed by (e, k): the
     SELECTS_CACHED most recently used. A select holds no reference cycle,
@@ -539,8 +548,7 @@ def _select_source(e: Expr, k: int) -> Tuple[str, bool]:
         "def select(path, rng):",
         "    node = path[-1]",
         "    while not node.untried_actions and node.children:",
-        "        kids = node.children",
-        "        " + "".join(f"k{i}, " for i in range(k)) + "= kids",
+        "        " + "".join(f"k{i}, " for i in range(k)) + "= kids = node.children",
         "        np = node.visits",
     ]
     bounded = any(facts[n][4:] != general[n][4:] for n in facts)
@@ -552,10 +560,15 @@ def _select_source(e: Expr, k: int) -> Tuple[str, bool]:
     for i in range(k):
         # q first: a child without visits raises ZeroDivisionError before
         # anything of e is computed, as in the reference
-        body += [f"nc = k{i}.visits", f"q = k{i}.total_reward / nc"]
+        body.append(f"q = k{i}.total_reward / (nc := k{i}.visits)")
         if i == 0:
             body += hoisted
-        body.append(f"s{i} = {score}")
+        if (k, i) == (2, 1):
+            # for two children the argmax is one expression
+            body.append(f"node = k0 if s0 > (s1 := {score}) else k1 if s1 > s0 "
+                        "else kids[randbelow(rng, 2)]")
+        else:
+            body.append(f"s{i} = {score}")
         # k > 2: m, node and ties are the leftmost maximum score, its
         # child, and how many scores equal it, which for scores that are
         # never NaN is what max, index and count would give
@@ -568,22 +581,9 @@ def _select_source(e: Expr, k: int) -> Tuple[str, bool]:
                 f"elif s{i} == m:",
                 "    ties += 1",
             ]
-    if k == 2:
-        body += ["if s0 > s1:", "    node = k0", "elif s1 > s0:", "    node = k1", "else:"]
-    else:
-        body.append(f"if ties == {k}:")
-    # a tie of all k children: the tied list of pick_tied is kids itself,
-    # and the draw is rng.randrange(k)'s
-    bits = k.bit_length()
-    body += [
-        f"    r = rng.getrandbits({bits})",
-        f"    while r >= {k}:",
-        f"        r = rng.getrandbits({bits})",
-        "    node = kids[r]",
-    ]
     if k > 2:
         scores = ", ".join(f"s{i}" for i in range(k))
-        body += ["elif ties > 1:", f"    node = pick_tied(kids, [{scores}], m, rng)"]
+        body += ["if ties > 1:", f"    node = pick_tied(kids, [{scores}], m, rng)"]
     body.append("path.append(node)")
     lines += ["        " + line for line in body]
     lines.append("    return path")

@@ -6,7 +6,9 @@ policy expression evaluated on (Q child, N parent, N child); exact value
 ties are broken uniformly at random. Installing a policy installs the
 selection step generated for it (expr.compile_select), with evaluate() as
 its oracle: the policy's protections are written in place, and for two
-children the argmax is one direct comparison of their scores. The
+children the argmax is one conditional expression over their scores. On
+a tie, the step for two children draws with expr.randbelow, the draw
+expand pops its action with, and a step for more calls pick_tied. The
 generated steps are cached for the whole process, keyed by policy and
 branching, so a policy that any tree installed recently is not generated
 again.
@@ -19,7 +21,7 @@ from typing import List, Optional, Tuple
 # compile_expr and children are not called here (expand builds only the
 # chosen child), but stay bound as mcts.compile_expr and mcts.children:
 # bench/tracing.py wraps those names
-from .expr import Expr, argmax, compile_expr, compile_select  # noqa: F401
+from .expr import Expr, argmax, compile_expr, compile_select, randbelow  # noqa: F401
 from .fop import (  # noqa: F401
     ROOT,
     FopConfig,
@@ -109,19 +111,15 @@ def select(tree: SearchTree, rng) -> List[TreeNode]:
 def expand(tree: SearchTree, node: TreeNode, rng) -> Optional[TreeNode]:
     """Attach one new child under node, or None when node is terminal.
 
-    The action is drawn as rng.randrange(len(actions)) draws it, straight
-    from getrandbits. Only the chosen child's bounds are computed, with the
-    float operations of fop.children, which stays as the oracle of this step.
+    The action is drawn by randbelow, rng.randrange(len(actions))'s draw
+    taken straight from getrandbits. Only the chosen child's bounds are
+    computed, with the float operations of fop.children, which stays as the
+    oracle of this step.
     """
     acts = node.untried_actions
     if not acts:
         return None
-    n = len(acts)
-    bits = n.bit_length()
-    r = rng.getrandbits(bits)
-    while r >= n:
-        r = rng.getrandbits(bits)
-    i = acts.pop(r)
+    i = acts.pop(randbelow(rng, len(acts)))
     a, b = child_bounds(node.a, node.b, i, tree.cfg.branching)
     child = tree.make_node(a, b, tree.iterations_done + 1)
     node.children.append(child)

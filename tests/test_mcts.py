@@ -15,6 +15,7 @@ from evomcts.expr import (
     compile_select,
     evaluate,
     parse_text,
+    randbelow,
     ucb1_seed,
 )
 from evomcts.fop import (
@@ -114,6 +115,16 @@ def test_select_with_constant_policy_walks_uniformly():
         path = select(tree, random.Random(i))
         picks[tree.root.children.index(path[1])] += 1
     assert abs(picks[0] / 2000 - 0.5) <= 0.05
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 2**40 + 3])
+def test_randbelow_is_randrange(n):
+    # the same value and the same rng state after, so a stream is unchanged
+    for seed in range(40):
+        ref = random.Random(seed)
+        rng = random.Random(seed)
+        assert randbelow(rng, n) == ref.randrange(n)
+        assert rng.getstate() == ref.getstate()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -267,6 +267,9 @@ OVER_NC_Q = Expr("pdiv", children=(parse_text(product_of_np(6, "(pdiv Nc 1)")), 
 EDGE_POLICIES = [
     parse_text("(pdiv Q (- Nc 1))"),
     parse_text("(plog Q)"),
+    # its argument stays above -0.001 only for counts up to 2**53, and it
+    # gets no bound test: the plog needs abs past that count
+    parse_text("(plog (- Q (pdiv Np 1e19)))"),
     parse_text("(psqrt (- Q 1))"),
     parse_text("(pdiv Np (plog Np))"),
     parse_text("(- Np Np)"),

@@ -8,10 +8,11 @@ exact string replacement to a file under src/, and run
 
 there. A mutant passes the check when at least one test fails. An unmutated
 copy runs first and must pass every test. The script exits 1 when a mutant
-survives, when its anchor is not in the file exactly once, or when the
-unmutated copy fails.
+survives, when its anchor is not in the file exactly once, when the
+unmutated copy fails, or when a name given is not a mutant's.
 
-    python3 tools/mutants.py
+    python3 tools/mutants.py                  # every mutant
+    python3 tools/mutants.py "NAME" ...       # only the named ones
 
 Stdlib only; pytest collects nothing here.
 """
@@ -105,8 +106,33 @@ MUTANTS = {
     ),
     "the k = 2 comparison taking >=": (
         "evomcts/expr.py",
-        '"if s0 > s1:"',
-        '"if s0 >= s1:"',
+        '"node = k0 if s0 > (s1 := {score})',
+        '"node = k0 if s0 >= (s1 := {score})',
+    ),
+    "a live plog's abs decided by the bounded facts": (
+        "evomcts/expr.py",
+        "if general[id(e.children[0])][0] > -PROTECT_EPS:",
+        "if facts[id(e.children[0])][0] > -PROTECT_EPS:",
+    ),
+    "the psqrt sign test dropped": (
+        "evomcts/expr.py",
+        "False, a[0] < 0.0, False",
+        "False, False, False",
+    ),
+    "the overflow test of + - * dropped": (
+        "evomcts/expr.py",
+        "        overflow = _overflows(lo, hi)\n",
+        "        overflow = False\n",
+    ),
+    "randbelow keeping a draw of n": (
+        "evomcts/expr.py",
+        "    while r >= n:\n",
+        "    while r > n:\n",
+    ),
+    "terminals not counted": (
+        "evomcts/mcts.py",
+        "self.terminal_nodes += terminal",
+        "self.terminal_nodes += 0",
     ),
     "a zero reward not counted at the root": (
         "evomcts/mcts.py",
@@ -154,13 +180,18 @@ def run_tests(mutant: str | None) -> tuple[int, str, float]:
         return proc.returncode, failed, time.monotonic() - start
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    unknown = [name for name in names if name not in MUTANTS]
+    if unknown:
+        print(f"no such mutant: {', '.join(map(repr, unknown))}", file=sys.stderr)
+        return 1
+    names = names or list(MUTANTS)
     code, failed, secs = run_tests(None)
     print(f"{'clean' if code == 0 else 'FAILED':9} unmutated copy ({secs:.0f} s) {failed}")
     if code != 0:
         return 1
     bad = 0
-    for name in MUTANTS:
+    for name in names:
         code, failed, secs = run_tests(name)
         # pytest exits 1 when some test failed; anything else (all passed,
         # interrupted, usage error, a missing anchor) does not count
@@ -172,9 +203,9 @@ def main() -> int:
         else:
             bad += 1
             print(f"{'SURVIVED':9} {name} (pytest exit {code})")
-    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
+    print(f"{len(names) - bad} of {len(names)} mutants killed")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
